@@ -1,0 +1,7 @@
+"""Import path for the benchmark's own modules and the checkout's garland."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
