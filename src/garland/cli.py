@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criterion as crit
-from .complexes import cosine_matrix_of_complex, load_complex, thickness, validate_complex
+from .complexes import cosine_matrix_of_complex, load_complex, thickness
 from .coxeter import classify_coxeter, coxeter_cosine, load_coxeter_matrix
 from .decomposition import (
     as_mask,
@@ -115,7 +115,6 @@ def cmd_analyze_coxeter(args) -> dict:
 def cmd_analyze_complex(args) -> dict:
     raw, data = _load_json(args.input)
     x = load_complex(data)
-    validation = validate_complex(x)
     report = cosine_matrix_of_complex(x)
     warnings = []
     if report.degenerate:
@@ -133,7 +132,7 @@ def cmd_analyze_complex(args) -> dict:
         "n": x.n,
         "vertex_count": len(x.vertex_types),
         "facet_count": len(x.facets),
-        "validation": to_jsonable(validation),
+        "validation": to_jsonable(report.validation),
         "thickness": thickness(x),
         "cosine_matrix": to_jsonable(report.matrix.matrix),
         "smallest_eigenvalue": report.matrix.min_eigenvalue(),
@@ -200,7 +199,7 @@ def cmd_spherical_simplex(args) -> dict:
     raw, data = _load_json(args.input)
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("simplex document needs a list field 'vertices'")
-    family = spherical_face_family(data["vertices"])
+    family = spherical_face_family(_number_table(data["vertices"], "vertices"))
     cosine = cosine_matrix_of_family(family)
     spectrum = sym_eigs(cosine.matrix)
     result = {
@@ -213,7 +212,7 @@ def cmd_spherical_simplex(args) -> dict:
     }
     warnings = []
     if "reference_matrix" in data:
-        ref = np.asarray(data["reference_matrix"], dtype=float)
+        ref = _number_table(data["reference_matrix"], "reference_matrix")
         if ref.shape != cosine.matrix.shape:
             raise ValidationError(
                 f"reference matrix shape {ref.shape} does not match {cosine.matrix.shape}"
@@ -225,6 +224,29 @@ def cmd_spherical_simplex(args) -> dict:
             "text": f"max |A - reference| = {dev:.3e}",
         }
     return _envelope("spherical-simplex", args, raw, result, warnings)
+
+
+def _number_table(value, path: str) -> np.ndarray:
+    """A list of equally long rows of finite JSON numbers, as a float array."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputFormatError(f"{path} must be a list of rows")
+    for i, row in enumerate(value):
+        if len(row) != len(value[0]):
+            raise InputFormatError(f"{path}[{i}] has {len(row)} entries, row 0 has {len(value[0])}")
+        for j, v in enumerate(row):
+            if not _finite_number(v):
+                raise InputFormatError(f"{path}[{i}][{j}] must be a finite number, got {v!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _finite_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _envelope(subcommand: str, args, raw: bytes, result: dict, warnings: list[str]) -> dict:

@@ -1,17 +1,22 @@
 """Partite simplicial complexes, links, and random-walk spectra of 1-dim links.
 
-A complex is stored by its facets only; lower-dimensional simplices are
-generated on demand.  Every facet must contain exactly one vertex of each
-type.  The cosine matrix of an n-dimensional complex collects, for every
-unordered type pair {i, j}, the second largest random-walk eigenvalue over
-the links of codimension-2 simplices whose cotype is {i, j}.
+A complex is stored by its facets; every facet must contain exactly one vertex
+of each type.  Queries go through two derived views.  The star of a vertex,
+the indices of the facets containing it, is built once on first use: a
+simplex is in the complex when the stars of its vertices meet, and its link
+is read off their intersection.  `faces(types)` groups the facets by their
+face of one type set, listing the simplices of that type with their facets.
+The cosine matrix of an n-dimensional complex collects, for every unordered
+type pair {i, j}, the second largest random-walk eigenvalue over the links of
+codimension-2 simplices whose cotype is {i, j}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,6 @@ class PartiteComplex:
     vertex_types: dict[int, int]
     facets: tuple[frozenset[int], ...]
     types: tuple[int, ...] = None
-    _faces: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         vt = dict(self.vertex_types)
@@ -67,24 +71,43 @@ class PartiteComplex:
         """Dimension: facets are (n+1)-sets."""
         return len(self.types) - 1
 
+    @functools.cached_property
+    def _vertex_stars(self) -> dict[int, frozenset[int]]:
+        stars: dict[int, list[int]] = {v: [] for v in self.vertex_types}
+        for idx, f in enumerate(self.facets):
+            for v in f:
+                stars[v].append(idx)
+        return {v: frozenset(members) for v, members in stars.items()}
+
+    def star(self, sigma) -> frozenset[int]:
+        """Indices of the facets containing sigma; empty when sigma is not a simplex."""
+        if not sigma:
+            return frozenset(range(len(self.facets)))
+        stars = self._vertex_stars
+        return frozenset.intersection(*(stars.get(v, frozenset()) for v in sigma))
+
+    def faces(self, types) -> dict[frozenset[int], list[int]]:
+        """Each face of the given type set, mapped to the indices of its facets."""
+        keep = frozenset(types)
+        kept = frozenset(v for v, t in self.vertex_types.items() if t in keep)
+        groups: dict[frozenset[int], list[int]] = {}
+        for idx, f in enumerate(self.facets):
+            groups.setdefault(f & kept, []).append(idx)
+        return groups
+
     def simplices(self, k: int) -> frozenset[frozenset[int]]:
         """All k-dimensional simplices; k = -1 gives the empty simplex."""
         if k < -1 or k > self.n:
             return frozenset()
-        if k not in self._faces:
-            found = set()
-            for f in self.facets:
-                for combo in itertools.combinations(sorted(f), k + 1):
-                    found.add(frozenset(combo))
-            self._faces[k] = frozenset(found)
-        return self._faces[k]
+        return frozenset(
+            face for ts in itertools.combinations(self.types, k + 1) for face in self.faces(ts)
+        )
 
     def type_of(self, sigma) -> frozenset[int]:
         return frozenset(self.vertex_types[v] for v in sigma)
 
     def contains(self, sigma) -> bool:
-        s = frozenset(sigma)
-        return any(s <= f for f in self.facets)
+        return bool(self.star(frozenset(sigma)))
 
 
 def load_complex(data) -> PartiteComplex:
@@ -98,73 +121,85 @@ def load_complex(data) -> PartiteComplex:
     if not isinstance(facets, list) or not facets:
         raise InputFormatError("complex document needs a nonempty list field 'facets'")
     vertex_types = {}
-    for entry in vertices:
+    for i, entry in enumerate(vertices):
         if not isinstance(entry, dict) or "id" not in entry or "type" not in entry:
-            raise InputFormatError(f"vertex entries need 'id' and 'type' fields, got {entry}")
-        vid = int(entry["id"])
+            raise InputFormatError(f"vertices[{i}] needs 'id' and 'type' fields, got {entry!r}")
+        vid = _json_int(entry["id"], f"vertices[{i}].id")
         if vid in vertex_types:
-            raise InputFormatError(f"duplicate vertex id {vid}")
-        vertex_types[vid] = int(entry["type"])
+            raise InputFormatError(f"vertices[{i}].id: duplicate vertex id {vid}")
+        vertex_types[vid] = _json_int(entry["type"], f"vertices[{i}].type")
+    cells = []
+    for i, f in enumerate(facets):
+        if not isinstance(f, list):
+            raise InputFormatError(f"facets[{i}] must be a list of vertex ids, got {f!r}")
+        cells.append(frozenset(_json_int(v, f"facets[{i}][{j}]") for j, v in enumerate(f)))
     try:
-        x = PartiteComplex(vertex_types, tuple(frozenset(map(int, f)) for f in facets))
+        x = PartiteComplex(vertex_types, tuple(cells))
     except ValidationError as exc:
         raise InputFormatError(str(exc)) from None
-    if "n" in data and int(data["n"]) != x.n:
+    if "n" in data and _json_int(data["n"], "n") != x.n:
         raise InputFormatError(f"declared n = {data['n']} but facets have dimension {x.n}")
     return x
+
+
+def _json_int(value, path: str) -> int:
+    # JSON true/false load as bool, which Python counts as int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{path} must be an integer, got {value!r}")
+    return value
 
 
 def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
     """Link of a simplex: faces disjoint from sigma whose union with it is in X."""
     s = frozenset(sigma)
-    if not x.contains(s):
-        raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
     if not s:
         return x
+    star = x.star(s)
+    if not star:
+        raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
     remaining = tuple(t for t in x.types if t not in x.type_of(s))
-    link_facets = tuple(sorted((f - s for f in x.facets if s <= f), key=sorted))
+    link_facets = tuple(sorted((x.facets[idx] - s for idx in star), key=sorted))
     used = set().union(*link_facets) if remaining else set()
     vt = {v: x.vertex_types[v] for v in used}
     return PartiteComplex(vt, link_facets, types=remaining)
 
 
-def gallery_connected(x: PartiteComplex) -> bool:
-    """Whether every facet is reachable through shared codimension-1 faces."""
-    count = len(x.facets)
-    if count == 1:
-        return True
-    panels: dict[frozenset, list[int]] = {}
-    for idx, f in enumerate(x.facets):
-        for v in f:
-            panels.setdefault(f - {v}, []).append(idx)
-        if not f:
-            panels.setdefault(frozenset(), []).append(idx)
-    if x.n == 0:
-        return True  # any two points meet in the empty simplex
-    seen = {0}
-    queue = deque([0])
-    neighbors: dict[int, set[int]] = {}
-    for members in panels.values():
-        for idx in members:
-            neighbors.setdefault(idx, set()).update(members)
+def bfs_distances(start, neighbors) -> dict:
+    """Breadth-first distances from start to every vertex it reaches;
+    neighbors(v) gives the vertices adjacent to v."""
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in neighbors.get(cur, ()):
-            if nxt not in seen:
-                seen.add(nxt)
+        for nxt in neighbors(cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
-    return len(seen) == count
+    return dist
+
+
+def gallery_connected(x: PartiteComplex) -> bool:
+    """Whether every facet is reachable through shared codimension-1 faces."""
+    if x.n < 1:
+        return True  # any two points meet in the empty simplex
+    panels: list[list[list[int]]] = [[] for _ in x.facets]
+    for ts in itertools.combinations(x.types, x.n):
+        for members in x.faces(ts).values():
+            for idx in members:
+                panels[idx].append(members)
+    reached = bfs_distances(0, lambda idx: itertools.chain.from_iterable(panels[idx]))
+    return len(reached) == len(x.facets)
 
 
 def thickness(x: PartiteComplex) -> int:
     """Minimum number of facets containing a codimension-1 simplex."""
     if x.n < 0:
         raise ValidationError("thickness undefined for the empty complex")
-    best = None
-    for panel in x.simplices(x.n - 1):
-        count = sum(1 for f in x.facets if panel <= f)
-        best = count if best is None else min(best, count)
-    return best
+    return min(
+        len(members)
+        for ts in itertools.combinations(x.types, x.n)
+        for members in x.faces(ts).values()
+    )
 
 
 @dataclass(frozen=True)
@@ -217,15 +252,7 @@ def link_graph(x: PartiteComplex) -> LinkGraph:
 def _graph_connected(g: LinkGraph) -> bool:
     if not g.vertex_ids:
         return True
-    adj = g.adjacency()
-    seen = {g.vertex_ids[0]}
-    queue = deque(seen)
-    while queue:
-        for nxt in adj[queue.popleft()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(g.vertex_ids)
+    return len(bfs_distances(g.vertex_ids[0], g.adjacency().__getitem__)) == len(g.vertex_ids)
 
 
 def graph_diameter(g: LinkGraph) -> int:
@@ -233,14 +260,7 @@ def graph_diameter(g: LinkGraph) -> int:
     adj = g.adjacency()
     diam = 0
     for start in g.vertex_ids:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
+        dist = bfs_distances(start, adj.__getitem__)
         if len(dist) != len(g.vertex_ids):
             raise ValidationError("diameter undefined: graph not connected")
         diam = max(diam, max(dist.values()))
@@ -350,6 +370,7 @@ class ComplexCosineReport:
     definiteness: DefinitenessClass
     degenerate: bool
     convention: str
+    validation: ComplexValidation
 
 
 def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
@@ -375,10 +396,7 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     matrix = np.eye(count)
     per_pair: dict[tuple[int, int], PairSpectrum] = {}
     for ti, tj in itertools.combinations(types, 2):
-        cotype = frozenset(types) - {ti, tj}
-        reps = [s for s in x.simplices(x.n - 2) if x.type_of(s) == cotype]
-        if not reps:
-            raise ValidationError(f"no codimension-2 simplex of cotype {{{ti},{tj}}}")
+        reps = x.faces(t for t in types if t not in (ti, tj))
         lambdas = []
         diameter = 0
         for sigma in reps:
@@ -406,4 +424,5 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
         definiteness=classify_definiteness(matrix),
         degenerate=x.n == 1,
         convention="per-pair eigenvalue = maximum over cotype representatives",
+        validation=val,
     )

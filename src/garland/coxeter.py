@@ -20,6 +20,7 @@ import numpy as np
 from .complexes import (
     ComplexCosineReport,
     PartiteComplex,
+    bfs_distances,
     cosine_matrix_of_complex,
     is_cycle,
     link_graph,
@@ -86,6 +87,10 @@ def load_coxeter_matrix(data) -> CoxeterMatrix:
     for i, row in enumerate(table):
         if not isinstance(row, list):
             raise InputFormatError(f"m[{i}] must be a list")
+        for j, v in enumerate(row):
+            # JSON true/false load as bool, which Python counts as int
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise InputFormatError(f"m[{i}][{j}] must be an integer or null, got {v!r}")
         rows.append(tuple(math.inf if v is None else v for v in row))
     try:
         return CoxeterMatrix(rank=rank, m=tuple(rows))
@@ -218,25 +223,18 @@ def build_coxeter_complex(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> C
     group = enumerate_group(cox, cap=cap)
     r = cox.rank
     count = group.order
+    adjacency = group.adjacency
     vertex_types: dict[int, int] = {}
     coset_of: list[list[int]] = []
     next_id = 0
     for omitted in range(r):
+        kept = [s for s in range(r) if s != omitted]
         label = [-1] * count
         for start in range(count):
             if label[start] != -1:
                 continue
-            label[start] = next_id
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for s in range(r):
-                    if s == omitted:
-                        continue
-                    nxt = group.adjacency[cur][s]
-                    if label[nxt] == -1:
-                        label[nxt] = next_id
-                        queue.append(nxt)
+            for w in bfs_distances(start, lambda w: [adjacency[w][s] for s in kept]):
+                label[w] = next_id
             vertex_types[next_id] = omitted
             next_id += 1
         coset_of.append(label)
@@ -295,12 +293,9 @@ def coxeter_complex_cosine_check(
     link_checks: dict[tuple[int, int], LinkCycleCheck] = {}
     for i in range(cox.rank):
         for j in range(i + 1, cox.rank):
-            cotype = frozenset(x.types) - {i, j}
             lengths = []
             cycles = True
-            for sigma in sorted(x.simplices(x.n - 2), key=sorted):
-                if x.type_of(sigma) != cotype:
-                    continue
+            for sigma in sorted(x.faces(t for t in x.types if t not in (i, j)), key=sorted):
                 g = link_graph(link_of(x, sigma))
                 lengths.append(len(g.vertex_ids))
                 cycles = cycles and is_cycle(g)

@@ -43,11 +43,7 @@ def to_jsonable(value):
     if isinstance(value, np.ndarray):
         return [to_jsonable(row) for row in value.tolist()]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if not f.name.startswith("_")
-        }
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {_key(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, frozenset, set)):

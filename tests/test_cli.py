@@ -221,3 +221,56 @@ def test_subprocess_exit_codes():
     assert subprocess_stdout(
         ["decompose", "--input", fixture_path("doubled_plane.json")]
     )[0] == 0
+
+
+COMPLEX_OK = '"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}], "facets": [[0, 1]]'
+MALFORMED = {
+    "complex-id-string": (
+        "analyze-complex", '{"vertices": [{"id": "x", "type": 0}], "facets": [[0]]}',
+        "vertices[0].id",
+    ),
+    "complex-id-float": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0.5, "type": 0}, {"id": 1, "type": 1}], "facets": [[0, 1]]}',
+        "vertices[0].id",
+    ),
+    "complex-type-null": (
+        "analyze-complex", '{"vertices": [{"id": 0, "type": null}], "facets": [[0]]}',
+        "vertices[0].type",
+    ),
+    "complex-facet-entry-string": (
+        "analyze-complex", '{"vertices": [{"id": 0, "type": 0}], "facets": [["a"]]}',
+        "facets[0][0]",
+    ),
+    "complex-facet-not-list": (
+        "analyze-complex", '{"vertices": [{"id": 0, "type": 0}], "facets": [5]}', "facets[0]",
+    ),
+    "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
+    "simplex-reference-string": (
+        "spherical-simplex",
+        '{"vertices": [[1.0, 0.0], [0.0, 1.0]], "reference_matrix": [[1.0, "x"], [0.0, 1.0]]}',
+        "reference_matrix[0][1]",
+    ),
+    "coxeter-order-string": (
+        "analyze-coxeter", '{"rank": 2, "m": [[1, "3"], ["3", 1]]}',
+        "m[0][1] must be an integer or null, got '3'",
+    ),
+    "coxeter-order-overflow": (
+        "analyze-coxeter", '{"rank": 2, "m": [[1, 1e400], [1e400, 1]]}',
+        "m[0][1] must be an integer or null",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1(case, tmp_path, capsys):
+    subcommand, text, field = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code = main([subcommand, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("garland: error: ")
+    assert field in captured.err
+    assert "Traceback" not in captured.err

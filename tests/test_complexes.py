@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garland as g
 from garland.complexes import (
     LinkGraph,
+    bfs_distances,
     cycle_complex,
     gallery_connected,
     graph_diameter,
@@ -18,7 +22,7 @@ from garland.complexes import (
     link_of,
     random_walk_second_eig,
 )
-from garland.errors import InputFormatError, ValidationError
+from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
 from conftest import load_fixture
@@ -169,3 +173,69 @@ def test_heawood_cosine_degenerate():
     assert report.degenerate
     assert report.matrix.dim == 2
     assert abs(report.matrix.matrix[0, 1] + math.sqrt(2.0) / 3.0) <= 1e-12
+
+
+def index_test_complexes():
+    chambers = [
+        g.build_coxeter_complex(g.load_coxeter_matrix(load_fixture(name))).complex
+        for name in ("a3.json", "b3.json", "h3.json")
+    ]
+    return chambers + [octahedron(), g.load_complex(load_fixture("heawood.json"))]
+
+
+@pytest.mark.parametrize("x", index_test_complexes(), ids=["A3", "B3", "H3", "octahedron", "heawood"])
+def test_facet_index_matches_brute_force(x):
+    facets = x.facets
+    for size in range(len(x.types) + 1):
+        for ts in itertools.combinations(x.types, size):
+            expected = {}
+            for f in facets:
+                face = frozenset(v for v in f if x.vertex_types[v] in ts)
+                expected[face] = [i for i, h in enumerate(facets) if face <= h]
+            assert x.faces(ts) == expected
+    for k in range(-1, x.n + 2):
+        expected = {frozenset(c) for f in facets for c in itertools.combinations(f, k + 1)}
+        assert x.simplices(k) == expected
+    assert x.simplices(-2) == frozenset()
+    candidates = [frozenset(c) for k in range(3) for c in itertools.combinations(x.vertex_types, k)]
+    candidates.append(frozenset({max(x.vertex_types) + 1}))
+    for sigma in candidates:
+        assert x.contains(sigma) == any(sigma <= f for f in facets)
+    panels = {frozenset(c) for f in facets for c in itertools.combinations(f, x.n)}
+    assert g.thickness(x) == min(sum(p <= f for f in facets) for p in panels)
+
+
+def test_link_of_undeclared_vertex_raises():
+    with pytest.raises(ValidationError, match="not a simplex"):
+        link_of(octahedron(), frozenset({0, 99}))
+
+
+def test_bfs_distances():
+    path = {0: [1], 1: [0, 2], 2: [1], 3: []}
+    assert bfs_distances(0, path.__getitem__) == {0: 0, 1: 1, 2: 2}
+    assert bfs_distances(3, path.__getitem__) == {3: 0}
+
+
+_json_scalars = st.one_of(
+    st.integers(-2, 3), st.floats(), st.text(max_size=2), st.none(), st.booleans()
+)
+_json_values = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_complex_docs = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(
+            st.one_of(st.fixed_dictionaries({"id": _json_values, "type": _json_values}), _json_values),
+            max_size=4,
+        ),
+        "facets": st.lists(_json_values, max_size=4),
+    },
+    optional={"n": _json_values},
+)
+
+
+@settings(deadline=None)
+@given(_complex_docs)
+def test_load_complex_fails_only_with_garland_errors(doc):
+    try:
+        g.load_complex(doc)
+    except GarlandError:
+        pass
