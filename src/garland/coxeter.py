@@ -3,16 +3,20 @@
 A Coxeter matrix of rank r describes generators s_0, ..., s_{r-1} with
 relations (s_i s_j)^{m[i][j]} = 1; the cosine matrix has entries
 -cos(pi / m[i][j]) with the convention that an infinite label gives -1.
-Finite systems are enumerated through the geometric representation, where
-generator s acts on R^r by x -> x - 2 B(x, e_s) e_s with bilinear form B
-given by the cosine matrix; the enumerated chambers assemble into the
-associated partite simplicial complex via maximal-parabolic cosets.
+In the geometric representation generator s acts on R^r by
+x -> x - 2 B(x, e_s) e_s, with bilinear form B given by the cosine matrix.
+A finite W permutes its finite root system, the orbit of the simple roots
+e_0, ..., e_{r-1}, faithfully.  The roots are generated once, in floating
+point, with every match checked against the smallest distance between two
+roots; from then on each element is a row of integer root indices, so
+composition and deduplication are exact.  The enumerated chambers assemble
+into the associated partite simplicial complex via maximal-parabolic cosets.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from .complexes import (
     ComplexCosineReport,
     PartiteComplex,
+    _json_int,
     bfs_distances,
     cosine_matrix_of_complex,
     is_cycle,
@@ -31,7 +36,11 @@ from .linalg import classify_definiteness
 from .subspaces import CosineMatrix
 
 DEFAULT_GROUP_CAP = 10_000
-DEDUP_GRID = 1e-9
+# Roots are matched within ROOT_MATCH_TOL, and distinct roots must lie at
+# least ROOT_SEPARATION_FACTOR times that apart; on A3..E6 and H4 they are at
+# least 2 - sqrt(2) = 0.586 apart, and matches lie within 1e-14.
+ROOT_MATCH_TOL = 1e-9
+ROOT_SEPARATION_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,9 @@ def load_coxeter_matrix(data) -> CoxeterMatrix:
     """Build a CoxeterMatrix from a dict with rank and m (null meaning inf)."""
     if not isinstance(data, dict):
         raise InputFormatError("coxeter document must be a mapping")
-    try:
-        rank = int(data["rank"])
-    except (KeyError, TypeError, ValueError):
-        raise InputFormatError("coxeter document needs an integer field 'rank'") from None
+    if "rank" not in data:
+        raise InputFormatError("coxeter document needs an integer field 'rank'")
+    rank = _json_int(data["rank"], "rank")
     table = data.get("m")
     if not isinstance(table, list):
         raise InputFormatError("coxeter document needs a list-of-lists field 'm'")
@@ -148,17 +156,106 @@ def generator_matrices(cox: CoxeterMatrix) -> tuple[np.ndarray, ...]:
     return tuple(gens)
 
 
-def _grid_key(matrix: np.ndarray) -> bytes:
-    return np.round(matrix / DEDUP_GRID).astype(np.int64).tobytes()
+@dataclass(frozen=True)
+class RootSystem:
+    """The roots of a finite system, with each generator as a root permutation.
+
+    `vectors[k]` is root k in the basis of simple roots, which sit at indices
+    0 .. rank-1; `permutations[s][k]` is the index of s(root k).  The two
+    margins certify the matching: every generator image lay within
+    `match_distance` of its root, and distinct roots are `separation` apart.
+    """
+
+    vectors: np.ndarray
+    permutations: tuple[tuple[int, ...], ...]
+    match_distance: float
+    separation: float
+
+
+def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
+    """Orbit of the simple roots under the generators of the geometric
+    representation, matched by nearest root within ROOT_MATCH_TOL.
+
+    |Phi| <= |W| for every finite W, so an orbit that grows past `cap` roots
+    means a group of more than `cap` elements, most likely an infinite one.
+    Raises unless distinct roots are at least ROOT_SEPARATION_FACTOR times
+    the tolerance apart, so that no match can be ambiguous.
+    """
+    if cap < 1:
+        raise ValidationError("cap must be at least 1")
+    r = cox.rank
+    # generator s changes only coordinate s, to row s of its matrix dotted
+    # with the root
+    rows = [gen[s].tolist() for s, gen in enumerate(generator_matrices(cox))]
+    vectors = [tuple(row) for row in np.eye(r).tolist()]
+    # roots in order of length: a root within the tolerance of an image has
+    # a length within the tolerance of the image's, so only that window of
+    # this list is searched
+    by_length = sorted((math.hypot(*v), k) for k, v in enumerate(vectors))
+    permutations: list[list[int]] = [[] for _ in range(r)]
+    match_distance = 0.0
+    # first in, first out: `vectors` is the breadth-first queue, so the
+    # images of root k are matched, and appended to the permutations, k-th
+    for root in vectors:
+        for s, row in enumerate(rows):
+            image = root[:s] + (sum(a * b for a, b in zip(row, root)),) + root[s + 1:]
+            length = math.hypot(*image)
+            lo = bisect.bisect_left(by_length, (length - ROOT_MATCH_TOL,))
+            hi = bisect.bisect_right(by_length, (length + ROOT_MATCH_TOL, math.inf))
+            distance, nearest = min(
+                ((math.dist(vectors[j], image), j) for _, j in by_length[lo:hi]),
+                default=(math.inf, -1),
+            )
+            if distance <= ROOT_MATCH_TOL:
+                match_distance = max(match_distance, distance)
+            else:
+                if len(vectors) >= cap:
+                    raise GroupEnumerationError(
+                        f"group not enumerated (likely infinite): more than {cap} roots, "
+                        f"so more than {cap} elements"
+                    )
+                nearest = len(vectors)
+                vectors.append(image)
+                bisect.insort(by_length, (length, nearest))
+            permutations[s].append(nearest)
+    count = len(vectors)
+    vectors = np.array(vectors)
+    separation = min(
+        float(np.min(np.linalg.norm(vectors[i + 1:] - vectors[i], axis=1)))
+        for i in range(count - 1)
+    )
+    if separation < ROOT_SEPARATION_FACTOR * ROOT_MATCH_TOL:
+        raise GroupEnumerationError(
+            f"roots not well separated: two of the {count} roots lie {separation:.3g} "
+            f"apart against a matching tolerance of {ROOT_MATCH_TOL:g}"
+        )
+    return RootSystem(
+        vectors=vectors,
+        permutations=tuple(tuple(perm) for perm in permutations),
+        match_distance=match_distance,
+        separation=separation,
+    )
 
 
 @dataclass(frozen=True)
 class EnumeratedGroup:
-    """Group elements as representation matrices, with per-generator adjacency."""
+    """Group elements as rows of root indices, with per-generator adjacency.
+
+    `elements[i][j]` is the index, in `root_system(...).vectors`, of the image
+    of simple root j under element i.  The simple roots are a basis, so the
+    row fixes the element and its whole root permutation, and two elements
+    are equal exactly when their integer rows are.  `adjacency[i][s] = j`
+    means element j is s composed with element i.  Element i is the inverse
+    of the i-th element that the closure by right multiplication w -> w s
+    finds, so `adjacency` is the same table either way.  The two root
+    margins are those of `RootSystem`.
+    """
 
     rank: int
-    elements: tuple[np.ndarray, ...]
+    elements: tuple[bytes, ...]
     adjacency: tuple[tuple[int, ...], ...]
+    root_match_distance: float
+    root_separation: float
 
     @property
     def order(self) -> int:
@@ -166,45 +263,52 @@ class EnumeratedGroup:
 
 
 def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> EnumeratedGroup:
-    """Breadth-first closure of the generators in the geometric representation.
+    """Breadth-first closure of the generators acting on the root system.
 
-    Elements are deduplicated by rounding matrix entries to a 1e-9 grid; the
-    entries are cosines of small algebraic degree, so at the group orders in
-    scope the accumulated arithmetic error stays far below the grid.  Raises
-    when more than `cap` distinct elements appear.
+    W acts faithfully on its finite root system (Humphreys, Reflection Groups
+    and Coxeter Groups, section 5.4), so composition is exact on root
+    indices: the row of s w is `row.translate(table_s)`, and deduplication
+    is a dict lookup on the row.  Raises when the roots do not close within
+    `cap`, and, for a finite group, when more than `cap` elements appear or
+    there are more roots than a byte can index.
     """
-    if cap < 1:
-        raise ValidationError("cap must be at least 1")
-    gens = generator_matrices(cox)
-    identity = np.eye(cox.rank)
+    roots = root_system(cox, cap=cap)
+    count = len(roots.vectors)
+    if count > 256:
+        raise GroupEnumerationError(
+            f"group is finite but not enumerated: its {count} roots are more than "
+            "the 256 a byte row can index"
+        )
+    r = cox.rank
+    tables = [bytes(perm) + bytes(256 - count) for perm in roots.permutations]
+    identity = bytes(range(r))
     elements = [identity]
-    index = {_grid_key(identity): 0}
-    adjacency: list[list[int]] = [[-1] * cox.rank]
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for s in range(cox.rank):
-            if adjacency[cur][s] != -1:
-                continue
-            neighbor = elements[cur] @ gens[s]
-            key = _grid_key(neighbor)
-            nxt = index.get(key)
+    index = {identity: 0}
+    # first in, first out: `elements` is the breadth-first queue, and element
+    # i's neighbor under s lands at i * r + s of this flat list
+    adjacency: list[int] = []
+    for row in elements:
+        for table in tables:
+            image = row.translate(table)
+            nxt = index.get(image)
             if nxt is None:
                 if len(elements) >= cap:
                     raise GroupEnumerationError(
-                        f"group not enumerated (likely infinite): more than {cap} elements"
+                        f"group is finite but has more than {cap} elements "
+                        f"(its {count} roots close); raise the cap"
                     )
                 nxt = len(elements)
-                elements.append(neighbor)
-                index[key] = nxt
-                adjacency.append([-1] * cox.rank)
-                queue.append(nxt)
-            adjacency[cur][s] = nxt
-            adjacency[nxt][s] = cur
+                elements.append(image)
+                index[image] = nxt
+            adjacency.append(nxt)
     return EnumeratedGroup(
-        rank=cox.rank,
+        rank=r,
         elements=tuple(elements),
-        adjacency=tuple(tuple(row) for row in adjacency),
+        adjacency=tuple(
+            tuple(adjacency[i : i + r]) for i in range(0, len(adjacency), r)
+        ),
+        root_match_distance=roots.match_distance,
+        root_separation=roots.separation,
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import _json_int
 from .errors import InputFormatError, ValidationError
 from .linalg import orthonormalize, sym_eigs
 from .subspaces import Subspace, SubspaceFamily, intersect, residual_complement
@@ -221,10 +222,9 @@ def load_family(data) -> SubspaceFamily:
     """Build a family from a dict with ambient_dim and raw spanning sets."""
     if not isinstance(data, dict):
         raise InputFormatError("family document must be a mapping")
-    try:
-        ambient_dim = int(data["ambient_dim"])
-    except (KeyError, TypeError, ValueError):
-        raise InputFormatError("family document needs an integer field 'ambient_dim'") from None
+    if "ambient_dim" not in data:
+        raise InputFormatError("family document needs an integer field 'ambient_dim'")
+    ambient_dim = _json_int(data["ambient_dim"], "ambient_dim")
     spans = data.get("subspaces")
     if not isinstance(spans, list) or not spans:
         raise InputFormatError("family document needs a nonempty list field 'subspaces'")

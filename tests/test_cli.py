@@ -259,6 +259,21 @@ MALFORMED = {
         "analyze-coxeter", '{"rank": 2, "m": [[1, 1e400], [1e400, 1]]}',
         "m[0][1] must be an integer or null",
     ),
+    "coxeter-rank-string": (
+        "analyze-coxeter", '{"rank": "2", "m": [[1, 3], [3, 1]]}',
+        "rank must be an integer, got '2'",
+    ),
+    "coxeter-rank-float": (
+        "analyze-coxeter", '{"rank": 2.7, "m": [[1, 3], [3, 1]]}',
+        "rank must be an integer, got 2.7",
+    ),
+    "coxeter-rank-bool": (
+        "analyze-coxeter", '{"rank": true, "m": [[1]]}', "rank must be an integer, got True",
+    ),
+    "family-ambient-dim-float": (
+        "decompose", '{"ambient_dim": 2.5, "subspaces": [[[1, 0]], [[0, 1]]]}',
+        "ambient_dim must be an integer, got 2.5",
+    ),
 }
 
 

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import garland as g
+from garland import coxeter
 from garland.coxeter import (
+    ROOT_MATCH_TOL,
     build_coxeter_complex,
     coxeter_complex_cosine_check,
     generator_matrices,
+    root_system,
 )
 from garland.errors import GroupEnumerationError, InputFormatError, ValidationError
 from garland.linalg import max_abs, sym_eigs
@@ -41,6 +44,9 @@ def test_loader():
         g.load_coxeter_matrix({"m": [[1, 3], [3, 1]]})  # missing rank
     with pytest.raises(InputFormatError):
         g.load_coxeter_matrix([1, 2])
+    for rank in ("2", 2.7, True):
+        with pytest.raises(InputFormatError, match="rank must be an integer"):
+            g.load_coxeter_matrix({"rank": rank, "m": [[1, 3], [3, 1]]})
 
 
 def test_cosine_values():
@@ -89,6 +95,92 @@ def test_group_orders():
         assert g.enumerate_group(cox_of(name)).order == order
 
 
+def dynkin(rank, edges):
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, mij in edges:
+        m[i][j] = m[j][i] = mij
+    return g.CoxeterMatrix(rank=rank, m=tuple(map(tuple, m)))
+
+
+H4 = dynkin(4, ((0, 1, 5), (1, 2, 3), (2, 3, 3)))
+E6 = dynkin(6, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)))
+
+
+def test_large_group_orders():
+    assert g.enumerate_group(H4, cap=60000).order == 14400
+    assert g.enumerate_group(E6, cap=60000).order == 51840
+
+
+def test_elements_are_distinct_rows_of_root_indices():
+    for name in ("a2.json", "b3.json", "h3.json"):
+        cox = cox_of(name)
+        group = g.enumerate_group(cox)
+        roots = root_system(cox)
+        assert group.elements[0] == bytes(range(cox.rank))
+        assert len(set(group.elements)) == group.order
+        assert all(max(row) < len(roots.vectors) for row in group.elements)
+
+
+def compose(p, q):
+    return tuple(p[k] for k in q)
+
+
+def test_generator_permutations_are_exact():
+    for name in ("a2.json", "b3.json", "h3.json"):
+        cox = cox_of(name)
+        roots = root_system(cox)
+        count = len(roots.vectors)
+        identity = tuple(range(count))
+        gram = roots.vectors @ g.coxeter_cosine(cox).matrix
+        for i, perm in enumerate(roots.permutations):
+            assert sorted(perm) == list(identity)
+            assert compose(perm, perm) == identity
+            # s_i sends its simple root to its negative and fixes exactly the
+            # roots orthogonal to it: none in a2, some for every generator of
+            # b3 and h3
+            assert max_abs(roots.vectors[perm[i]] + roots.vectors[i]) <= 1e-12
+            fixed = [k for k in identity if perm[k] == k]
+            assert fixed == [k for k in identity if abs(gram[k, i]) <= 1e-9]
+            assert bool(fixed) == (name != "a2.json")
+            for j in range(i + 1, cox.rank):
+                word = compose(perm, roots.permutations[j])
+                power = word
+                for _ in range(cox.m[i][j] - 1):
+                    assert power != identity
+                    power = compose(word, power)
+                assert power == identity
+
+
+def test_root_margins():
+    for name in ("a2.json", "b2.json", "g2.json", "a3.json", "b3.json", "h3.json"):
+        group = g.enumerate_group(cox_of(name))
+        assert 0.0 <= group.root_match_distance <= 1e-12
+        assert group.root_separation >= 0.25
+    group = g.enumerate_group(H4, cap=20000)
+    assert group.root_match_distance <= 1e-12
+    assert group.root_separation == pytest.approx((math.sqrt(5) - 1) / 2)
+
+
+def test_roots_must_be_well_separated(monkeypatch):
+    # a tolerance whose safety factor would demand roots 1000 apart
+    monkeypatch.setattr(coxeter, "ROOT_SEPARATION_FACTOR", 1e3 / ROOT_MATCH_TOL)
+    with pytest.raises(GroupEnumerationError, match="not well separated"):
+        g.enumerate_group(cox_of("a2.json"))
+
+
+def test_finite_group_over_cap_says_finite():
+    with pytest.raises(GroupEnumerationError) as info:
+        g.enumerate_group(H4)
+    message = str(info.value)
+    assert "finite" in message and "likely infinite" not in message
+    assert "10000 elements" in message and "120 roots" in message
+
+
+def test_more_roots_than_a_byte_row_holds():
+    with pytest.raises(GroupEnumerationError, match="258 roots"):
+        g.enumerate_group(g.CoxeterMatrix(rank=2, m=((1, 129), (129, 1))))
+
+
 def test_infinite_group_hits_cap():
     with pytest.raises(GroupEnumerationError, match="likely infinite"):
         g.enumerate_group(cox_of("infinite_dihedral.json"), cap=64)
@@ -118,6 +210,14 @@ def test_a3_complex_shape():
     )
     assert counts == [4, 4, 6]
     assert g.validate_complex(x).b2_links_gallery_connected
+
+
+def test_h4_complex_shape():
+    x = build_coxeter_complex(H4, cap=20000).complex
+    assert len(x.facets) == 14400
+    counts = [sum(1 for t in x.vertex_types.values() if t == i) for i in range(4)]
+    assert counts == [600, 1200, 720, 120]
+    assert g.thickness(x) == 2
 
 
 def test_cosine_check_report():
