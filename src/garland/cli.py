@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criterion as crit
-from .complexes import cosine_matrix_of_complex, load_complex, thickness
+from .complexes import _number_table, cosine_matrix_of_complex, load_complex, thickness
 from .coxeter import classify_coxeter, coxeter_cosine, load_coxeter_matrix
 from .decomposition import (
     as_mask,
@@ -224,29 +224,6 @@ def cmd_spherical_simplex(args) -> dict:
             "text": f"max |A - reference| = {dev:.3e}",
         }
     return _envelope("spherical-simplex", args, raw, result, warnings)
-
-
-def _number_table(value, path: str) -> np.ndarray:
-    """A list of equally long rows of finite JSON numbers, as a float array."""
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise InputFormatError(f"{path} must be a list of rows")
-    for i, row in enumerate(value):
-        if len(row) != len(value[0]):
-            raise InputFormatError(f"{path}[{i}] has {len(row)} entries, row 0 has {len(value[0])}")
-        for j, v in enumerate(row):
-            if not _finite_number(v):
-                raise InputFormatError(f"{path}[{i}][{j}] must be a finite number, got {v!r}")
-    return np.asarray(value, dtype=float)
-
-
-def _finite_number(v) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _envelope(subcommand: str, args, raw: bytes, result: dict, warnings: list[str]) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -147,6 +148,34 @@ def _json_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(f"{path} must be an integer, got {value!r}")
     return value
+
+
+def _number_table(value, path: str, width: int | None = None) -> np.ndarray:
+    """A list of rows of finite JSON numbers, as a float array.
+
+    Every row has `width` entries, or as many as row 0 when `width` is None.
+    """
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputFormatError(f"{path} must be a list of rows")
+    if width is None and value:
+        width = len(value[0])
+    for i, row in enumerate(value):
+        if len(row) != width:
+            raise InputFormatError(f"{path}[{i}] has {len(row)} entries, expected {width}")
+        for j, v in enumerate(row):
+            if not _finite_number(v):
+                raise InputFormatError(f"{path}[{i}][{j}] must be a finite number, got {v!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _finite_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def link_of(x: PartiteComplex, sigma) -> PartiteComplex:

@@ -177,7 +177,7 @@ def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
     representation, matched by nearest root within ROOT_MATCH_TOL.
 
     |Phi| <= |W| for every finite W, so an orbit that grows past `cap` roots
-    means a group of more than `cap` elements, most likely an infinite one.
+    means a group of more than `cap` elements, finite or not.
     Raises unless distinct roots are at least ROOT_SEPARATION_FACTOR times
     the tolerance apart, so that no match can be ambiguous.
     """
@@ -211,8 +211,8 @@ def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
             else:
                 if len(vectors) >= cap:
                     raise GroupEnumerationError(
-                        f"group not enumerated (likely infinite): more than {cap} roots, "
-                        f"so more than {cap} elements"
+                        f"group not enumerated: its root orbit passed {cap} roots, "
+                        f"so it has more than {cap} elements"
                     )
                 nearest = len(vectors)
                 vectors.append(image)

@@ -1,15 +1,10 @@
-"""Dense symmetric eigensolver and small-matrix utilities.
+"""Symmetric eigenproblems and small-matrix utilities.
 
-Everything downstream funnels through `sym_eigs`, which runs a cyclic Jacobi
-iteration: rotations sweep the strict upper triangle in row-major order until
-the off-diagonal Frobenius norm falls below 1e-12 times the Frobenius norm of
-the input, with a hard cap of 100 sweeps.  Jacobi is preferred here over a
-tridiagonalization pipeline because the matrices are tiny (rank of a Coxeter
-system, or a handful of subspaces) and Jacobi's eigenvectors are orthonormal
-to working precision, which the subspace code leans on.
-
-The sweep kernel is JIT-compiled with numba when numba is importable and runs
-as plain Python otherwise; both paths execute the same statements.
+Everything downstream funnels through `sym_eigs`, the one eigensolver seam:
+it validates symmetry, then calls LAPACK's symmetric solvers through
+`numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
+and eigenvectors orthonormal to working precision (Golub and Van Loan,
+Matrix Computations, sections 8.3 and 8.5).
 """
 
 from __future__ import annotations
@@ -20,69 +15,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
 SYMMETRY_TOL = 1e-12
 RESIDUAL_SCALE = 1e-9
-JACOBI_SWEEP_CAP = 100
-JACOBI_OFFDIAG_TOL = 1e-12
-
-
-def _jacobi_kernel(a, v):
-    """Diagonalize symmetric `a` in place, accumulating rotations into `v`."""
-    n = a.shape[0]
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += a[i, j] * a[i, j]
-    stop = 1e-12 * np.sqrt(fro)
-    for _ in range(100):
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if np.sqrt(off) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, q] = s * akp + c * akq
-                        a[q, k] = a[k, q]
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-
-
-if NUMBA_AVAILABLE:
-    _jacobi_kernel = njit(cache=True)(_jacobi_kernel)
 
 
 @dataclass(frozen=True)
@@ -143,22 +77,16 @@ def as_symmetric(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
 
 
 def sym_eigs(matrix, want_vectors: bool = False) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues ascending; when `want_vectors` is set the columns of
     `eigenvectors` are the matching orthonormal eigenvectors.
     """
     m = as_symmetric(matrix)
-    n = m.shape[0]
-    a = np.ascontiguousarray(m)
-    v = np.eye(n)
-    _jacobi_kernel(a, v)
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
     if want_vectors:
-        return Spectrum(eigenvalues=w, eigenvectors=v[:, order])
-    return Spectrum(eigenvalues=w)
+        w, v = np.linalg.eigh(m)
+        return Spectrum(eigenvalues=w, eigenvectors=v)
+    return Spectrum(eigenvalues=np.linalg.eigvalsh(m))
 
 
 def default_zero_tol(matrix: np.ndarray) -> float:
@@ -208,7 +136,8 @@ def orthonormalize(
     has orthonormal columns, shape `(ambient_dim, rank)`.
 
     An empty vector list is legal and yields rank 0, but then `ambient_dim`
-    must be supplied since it cannot be inferred.
+    must be supplied since it cannot be inferred.  Entries must be finite,
+    and so must every vector's norm, from which the default `rank_tol` comes.
     """
     arr = np.array(vectors, dtype=float)
     if arr.size == 0:
@@ -231,7 +160,11 @@ def orthonormalize(
         raise ValidationError("ambient dimension must be at least 1")
     if ambient_dim is not None and ambient_dim != d:
         raise DimensionMismatchError(f"vectors have dimension {d}, expected {ambient_dim}")
-    norms = np.sqrt(np.sum(arr * arr, axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(arr * arr, axis=1))
+    overflow = np.flatnonzero(~np.isfinite(norms))
+    if overflow.size:
+        raise ValidationError(f"the norm of vector {overflow[0]} overflows the float range")
     if rank_tol is None:
         rank_tol = 1e-8 * float(np.max(norms))
     basis: list[np.ndarray] = []

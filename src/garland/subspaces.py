@@ -285,7 +285,8 @@ def spherical_face_family(vertices) -> SubspaceFamily:
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValidationError("expected a nonempty list of vertex row vectors")
     count, d = arr.shape
-    norms = np.sqrt(np.sum(arr * arr, axis=1))
+    with np.errstate(over="ignore"):  # an overflowing norm is not 1 either
+        norms = np.sqrt(np.sum(arr * arr, axis=1))
     if np.max(np.abs(norms - 1.0)) > 1e-10:
         raise ValidationError("simplex vertices must be unit vectors within 1e-10")
     _, rank = orthonormalize(arr)

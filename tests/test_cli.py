@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from garland.cli import main
+from garland.decomposition import MAX_FAMILY_N
 
 from conftest import fixture_path
 
@@ -246,6 +247,9 @@ MALFORMED = {
         "analyze-complex", '{"vertices": [{"id": 0, "type": 0}], "facets": [5]}', "facets[0]",
     ),
     "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
+    "simplex-vertex-norm-overflow": (
+        "spherical-simplex", '{"vertices": [[1e308, 0.0], [0.0, 1.0]]}', "unit vectors",
+    ),
     "simplex-reference-string": (
         "spherical-simplex",
         '{"vertices": [[1.0, 0.0], [0.0, 1.0]], "reference_matrix": [[1.0, "x"], [0.0, 1.0]]}',
@@ -274,10 +278,36 @@ MALFORMED = {
         "decompose", '{"ambient_dim": 2.5, "subspaces": [[[1, 0]], [[0, 1]]]}',
         "ambient_dim must be an integer, got 2.5",
     ),
+    "family-ambient-dim-zero": (
+        "decompose", '{"ambient_dim": 0, "subspaces": [[[]], [[]]]}',
+        "ambient_dim must be at least 1, got 0",
+    ),
+    "family-vector-entry-string": (
+        "decompose", '{"ambient_dim": 2, "subspaces": [[["1", "0"]], [[0, 1]]]}',
+        "subspaces[0][0][0] must be a finite number, got '1'",
+    ),
+    "family-vector-entry-bool": (
+        "decompose", '{"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, true]]]}',
+        "subspaces[1][0][1] must be a finite number, got True",
+    ),
+    "family-vector-empty": (
+        "decompose", '{"ambient_dim": 2, "subspaces": [[[]], [[0, 1]]]}',
+        "subspaces[0][0] has 0 entries, expected 2",
+    ),
+    "family-vector-norm-overflow": (
+        "decompose", '{"ambient_dim": 2, "subspaces": [[[1e308, 1e308]], [[0, 1]]]}',
+        "subspaces[0]: the norm of vector 0 overflows",
+    ),
+    "family-over-the-size-limit": (
+        "decompose",
+        json.dumps({"ambient_dim": 1, "subspaces": [[[1.0]]] * (MAX_FAMILY_N + 2)}),
+        f"n > {MAX_FAMILY_N} are not supported, got n = {MAX_FAMILY_N + 1}",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow warnings reach stderr
 def test_malformed_input_exits_1(case, tmp_path, capsys):
     subcommand, text, field = MALFORMED[case]
     path = tmp_path / "doc.json"

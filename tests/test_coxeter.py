@@ -182,10 +182,19 @@ def test_more_roots_than_a_byte_row_holds():
 
 
 def test_infinite_group_hits_cap():
-    with pytest.raises(GroupEnumerationError, match="likely infinite"):
+    with pytest.raises(GroupEnumerationError, match="root orbit passed 64 roots"):
         g.enumerate_group(cox_of("infinite_dihedral.json"), cap=64)
-    with pytest.raises(GroupEnumerationError):
+    with pytest.raises(GroupEnumerationError, match="more than 100 elements"):
         g.enumerate_group(cox_of("affine_a2.json"), cap=100)
+    # a finite orbit over a small cap gets the same message: more than `cap`
+    # elements is all that is known, and A1 (order 2) and A2 (order 6) are finite
+    a1 = g.CoxeterMatrix(rank=1, m=((1,),))
+    for cox, cap in ((a1, 1), (cox_of("a2.json"), 5)):
+        with pytest.raises(GroupEnumerationError) as info:
+            g.enumerate_group(cox, cap=cap)
+        message = str(info.value)
+        assert f"root orbit passed {cap} roots, so it has more than {cap} elements" in message
+        assert "infinite" not in message
 
 
 def test_hexagon_complex():

@@ -144,6 +144,11 @@ def test_load_family_errors():
         g.load_family({"ambient_dim": 2, "subspaces": [[[1.0, 0.0, 0.0]]]})
 
 
+def test_load_family_keeps_an_empty_spanning_list():
+    fam = g.load_family({"ambient_dim": 2, "subspaces": [[], [[0, 1]]]})
+    assert [s.dim for s in fam.members] == [0, 1]
+
+
 def test_verify_rejects_bad_tol():
     fam = coordinate_axes_family()
     with pytest.raises(ValidationError):

@@ -1,15 +1,21 @@
 """Eigensolver, definiteness classification, and orthonormalization tests.
 
-np.linalg.eigh serves as the independent oracle for the Jacobi solver here;
-the library itself never calls it.
+`sym_eigs` is a validated seam over LAPACK (numpy's eigh/eigvalsh), so a
+comparison with np.linalg.eigvalsh checks validation and ordering only.  The
+independent oracles are closed-form spectra: the A_n Coxeter cosine matrix,
+the random walk on an even cycle, and an intersection whose answer is known.
 """
 
 from __future__ import annotations
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import garland as g
 from garland.errors import ValidationError
 from garland.linalg import (
     as_symmetric,
@@ -39,6 +45,45 @@ def test_sym_eigs_matches_eigh_across_sizes():
             ours = sym_eigs(m).eigenvalues
             oracle = np.linalg.eigvalsh(m)
             assert max_abs(ours - oracle) <= 1e-10 * max(1.0, max_abs(m))
+
+
+def a_n(n):
+    m = [[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(n)] for i in range(n)]
+    return g.CoxeterMatrix(rank=n, m=tuple(map(tuple, m)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym_eigs_a_n_cosine_matrix_closed_form(n):
+    # tridiagonal with 1 on the diagonal and -1/2 beside it
+    expected = [1.0 - math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
+    eigs = sym_eigs(g.coxeter_cosine(a_n(n)).matrix).eigenvalues
+    assert max_abs(eigs - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("length", range(4, 13, 2))
+def test_sym_eigs_cycle_walk_closed_form(length):
+    graph = g.link_graph(g.cycle_complex(length))
+    walk = np.zeros((length, length))
+    for edge in graph.edges:
+        a, b = tuple(edge)
+        walk[a, b] = walk[b, a] = 0.5  # every vertex has degree 2
+    expected = sorted(math.cos(2 * math.pi * k / length) for k in range(length))
+    assert max_abs(sym_eigs(walk).eigenvalues - expected) <= 1e-14
+    assert abs(g.random_walk_second_eig(graph) - math.cos(2 * math.pi / length)) <= 1e-14
+
+
+def test_intersect_recovers_a_shared_plane():
+    # for orthonormal q, U = span(q0, q1, q2) and V = span(q0, q1, q3) share
+    # the plane span(q0, q1): the Gram null space that intersect reads from
+    # the eigenvectors is 2-dimensional, and a random q keeps it off the axes
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    u = g.Subspace.from_spanning(4, (q[:, [0, 1, 2]] @ rng.standard_normal((3, 3))).T)
+    v = g.Subspace.from_spanning(4, (q[:, [0, 1, 3]] @ rng.standard_normal((3, 3))).T)
+    meet = g.intersect(u, v)
+    plane = q[:, :2]
+    assert meet.dim == 2
+    assert max_abs(meet.basis @ meet.basis.T - plane @ plane.T) <= 1e-12
 
 
 def test_sym_eigs_vectors_reconstruct():
@@ -110,6 +155,15 @@ def test_orthonormalize_drops_dependent_vectors():
     assert rank == 2
     _, rank_dup = orthonormalize([[1.0, 1.0], [1.0, 1.0]])
     assert rank_dup == 1
+
+
+def test_orthonormalize_rejects_an_overflowing_norm():
+    # 1e308 is finite but its square is not: the default rank_tol would be
+    # infinite and drop the vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="norm of vector 1 overflows"):
+            orthonormalize([[1.0, 0.0], [1e308, 1e308]])
 
 
 def test_orthonormalize_empty_needs_ambient_dim():
