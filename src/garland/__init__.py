@@ -9,7 +9,6 @@ from .complexes import (
     cosine_matrix_of_complex,
     cycle_complex,
     gallery_connected,
-    link_graph,
     link_of,
     load_complex,
     random_walk_second_eig,

@@ -82,6 +82,8 @@ def _load_json(path: str):
         raise InputFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # bytes that do not decode, or an integer past the digit limit
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _matrix_entry(v):
@@ -153,6 +155,8 @@ def cmd_analyze_complex(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    if not math.isfinite(args.tol):
+        raise ValidationError(f"--tol must be a finite number, got {args.tol}")
     raw, data = _load_json(args.input)
     family = load_family(data)
     n = family.n

@@ -6,9 +6,13 @@ the indices of the facets containing it, is built once on first use: a
 simplex is in the complex when the stars of its vertices meet, and its link
 is read off their intersection.  `faces(types)` groups the facets by their
 face of one type set, listing the simplices of that type with their facets.
-The cosine matrix of an n-dimensional complex collects, for every unordered
-type pair {i, j}, the second largest random-walk eigenvalue over the links of
-codimension-2 simplices whose cotype is {i, j}.
+A link is again a partite complex; a 1-dimensional one is a bipartite graph
+whose edges are its facets, and the walk spectrum, diameter and cycle test
+read their neighbours from those facets.  The cosine matrix of an
+n-dimensional complex collects, for every unordered type pair {i, j}, the
+second largest random-walk eigenvalue over the links of codimension-2
+simplices whose cotype is {i, j}; the same pass records each link's vertex
+count and whether it is a cycle, for the Coxeter-complex check.
 """
 
 from __future__ import annotations
@@ -231,100 +235,55 @@ def thickness(x: PartiteComplex) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Bipartite graph arising as a 1-dimensional link."""
-
-    types: tuple[int, int]
-    vertex_ids: tuple[int, ...]
-    vertex_types: dict[int, int]
-    edges: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        ids = tuple(sorted(self.vertex_ids))
-        edges = tuple(self.edges)
-        for e in edges:
-            a, b = sorted(e)
-            if self.vertex_types[a] == self.vertex_types[b]:
-                raise ValidationError(f"edge {sorted(e)} joins two vertices of one type")
-        object.__setattr__(self, "vertex_ids", ids)
-        object.__setattr__(self, "edges", edges)
-
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertex_ids}
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertex_ids}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-
-def link_graph(x: PartiteComplex) -> LinkGraph:
-    """View a 1-dimensional complex as a bipartite graph."""
+def _neighbours(x: PartiteComplex) -> dict[int, list[int]]:
+    """Each vertex of a 1-dimensional complex, in sorted order, with the
+    vertices it shares a facet with."""
     if x.n != 1:
         raise ValidationError(f"expected a 1-dimensional complex, got dimension {x.n}")
-    return LinkGraph(
-        types=(x.types[0], x.types[1]),
-        vertex_ids=tuple(sorted(x.vertex_types)),
-        vertex_types=dict(x.vertex_types),
-        edges=x.facets,
-    )
+    adj: dict[int, list[int]] = {v: [] for v in sorted(x.vertex_types)}
+    for a, b in x.facets:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
-def _graph_connected(g: LinkGraph) -> bool:
-    if not g.vertex_ids:
-        return True
-    return len(bfs_distances(g.vertex_ids[0], g.adjacency().__getitem__)) == len(g.vertex_ids)
-
-
-def graph_diameter(g: LinkGraph) -> int:
-    """Largest BFS eccentricity; requires a connected graph."""
-    adj = g.adjacency()
+def graph_diameter(x: PartiteComplex) -> int:
+    """Largest BFS eccentricity of a 1-dimensional complex; requires it connected."""
+    adj = _neighbours(x)
     diam = 0
-    for start in g.vertex_ids:
+    for start in adj:
         dist = bfs_distances(start, adj.__getitem__)
-        if len(dist) != len(g.vertex_ids):
+        if len(dist) != len(adj):
             raise ValidationError("diameter undefined: graph not connected")
         diam = max(diam, max(dist.values()))
     return diam
 
 
-def is_cycle(g: LinkGraph) -> bool:
-    """Connected with every degree exactly 2."""
-    return _graph_connected(g) and all(d == 2 for d in g.degrees().values())
+def is_cycle(x: PartiteComplex) -> bool:
+    """Whether a 1-dimensional complex is connected with every degree exactly 2."""
+    return all(len(nbrs) == 2 for nbrs in _neighbours(x).values()) and gallery_connected(x)
 
 
-def random_walk_second_eig(g: LinkGraph) -> float:
-    """Second largest eigenvalue of the simple random walk on a connected graph.
+def random_walk_second_eig(x: PartiteComplex) -> float:
+    """Second largest eigenvalue of the simple random walk on a connected
+    1-dimensional complex.
 
     Computed from the degree-symmetrized walk matrix with entries
     adjacency[u][v] / sqrt(d(u) d(v)), which shares the walk's spectrum.
     """
-    degrees = g.degrees()
-    dead = [v for v, d in degrees.items() if d == 0]
+    adj = _neighbours(x)
+    dead = [v for v, nbrs in adj.items() if not nbrs]
     if dead:
         raise ValidationError(f"random walk undefined: zero-degree vertices {dead}")
-    if not _graph_connected(g):
+    if not gallery_connected(x):
         raise ValidationError("link not connected (violates B2)")
-    ids = g.vertex_ids
-    pos = {v: i for i, v in enumerate(ids)}
-    m = np.zeros((len(ids), len(ids)))
-    for e in g.edges:
-        a, b = tuple(e)
-        w = 1.0 / np.sqrt(degrees[a] * degrees[b])
+    pos = {v: i for i, v in enumerate(adj)}
+    m = np.zeros((len(adj), len(adj)))
+    for a, b in x.facets:
+        w = 1.0 / np.sqrt(len(adj[a]) * len(adj[b]))
         m[pos[a], pos[b]] = w
         m[pos[b], pos[a]] = w
-    eigs = sym_eigs(m).eigenvalues
-    if len(eigs) < 2:
-        raise ValidationError("random walk needs at least two vertices")
-    return float(eigs[-2])
+    return float(sym_eigs(m).eigenvalues[-2])
 
 
 def cycle_complex(length: int) -> PartiteComplex:
@@ -390,6 +349,8 @@ class PairSpectrum:
     representatives: int
     max_disagreement: float
     link_diameter: int
+    link_lengths: tuple[int, ...]  # vertex count of each link, in faces() order
+    all_cycles: bool
 
 
 @dataclass(frozen=True)
@@ -427,11 +388,15 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     for ti, tj in itertools.combinations(types, 2):
         reps = x.faces(t for t in types if t not in (ti, tj))
         lambdas = []
+        lengths = []
         diameter = 0
+        cycles = True
         for sigma in reps:
-            g = link_graph(link_of(x, sigma))
-            lambdas.append(random_walk_second_eig(g))
-            diameter = max(diameter, graph_diameter(g))
+            link = link_of(x, sigma)
+            lambdas.append(random_walk_second_eig(link))
+            diameter = max(diameter, graph_diameter(link))
+            lengths.append(len(link.vertex_types))
+            cycles = cycles and is_cycle(link)
         lam = max(lambdas)
         if lam < -WALK_NEGATIVE_TOL:
             raise ValidationError(
@@ -444,6 +409,8 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
             representatives=len(reps),
             max_disagreement=max(lambdas) - min(lambdas),
             link_diameter=diameter,
+            link_lengths=tuple(lengths),
+            all_cycles=cycles,
         )
         matrix[pos[ti], pos[tj]] = -lam
         matrix[pos[tj], pos[ti]] = -lam

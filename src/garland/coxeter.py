@@ -27,9 +27,6 @@ from .complexes import (
     _json_int,
     bfs_distances,
     cosine_matrix_of_complex,
-    is_cycle,
-    link_graph,
-    link_of,
 )
 from .errors import GroupEnumerationError, InputFormatError, ValidationError
 from .linalg import classify_definiteness
@@ -64,6 +61,10 @@ class CoxeterMatrix:
                     if raw != int(raw):
                         raise ValidationError(f"m[{i}][{j}] = {raw} is not an integer or inf")
                     raw = int(raw)
+                    try:
+                        float(raw)  # the cosine matrix takes pi / m[i][j]
+                    except OverflowError:
+                        raise ValidationError(f"m[{i}][{j}] is beyond the float range") from None
                 if i == j:
                     if raw != 1:
                         raise ValidationError(f"m[{i}][{i}] must be 1, got {raw}")
@@ -387,27 +388,21 @@ def coxeter_complex_cosine_check(
 
     Each link of a codimension-2 simplex of cotype {i, j} must be a cycle of
     length 2 m[i][j], so its walk eigenvalue is cos(pi / m[i][j]) and the two
-    matrices agree entrywise.
+    matrices agree entrywise.  The link lengths and cycle flags come from the
+    walk pass of `cosine_matrix_of_complex`, which builds each link once.
     """
     built = build_coxeter_complex(cox, cap=cap)
     direct = coxeter_cosine(cox)
     report = cosine_matrix_of_complex(built.complex)
     deviation = float(np.max(np.abs(report.matrix.matrix - direct.matrix)))
-    x = built.complex
-    link_checks: dict[tuple[int, int], LinkCycleCheck] = {}
-    for i in range(cox.rank):
-        for j in range(i + 1, cox.rank):
-            lengths = []
-            cycles = True
-            for sigma in sorted(x.faces(t for t in x.types if t not in (i, j)), key=sorted):
-                g = link_graph(link_of(x, sigma))
-                lengths.append(len(g.vertex_ids))
-                cycles = cycles and is_cycle(g)
-            link_checks[(i, j)] = LinkCycleCheck(
-                expected_length=2 * cox.m[i][j],
-                observed_lengths=tuple(lengths),
-                all_cycles=cycles,
-            )
+    link_checks = {
+        (i, j): LinkCycleCheck(
+            expected_length=2 * cox.m[i][j],
+            observed_lengths=spec.link_lengths,
+            all_cycles=spec.all_cycles,
+        )
+        for (i, j), spec in report.per_pair.items()
+    }
     return CosineAgreementReport(
         cosine_matrix=direct,
         complex_report=report,

@@ -34,6 +34,10 @@ def _check_q(q) -> int:
     q = int(q)
     if q < 2:
         raise ValidationError(f"q must be at least 2, got {q}")
+    try:
+        float(q + 1)  # the thresholds and bounds take sqrt(q) and q + 1 as floats
+    except OverflowError:
+        raise ValidationError("q is beyond the float range") from None
     return q
 
 

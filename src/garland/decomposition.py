@@ -24,6 +24,10 @@ from .subspaces import Subspace, SubspaceFamily, intersect, residual_complement
 # step of n: at n = 13, building it and verifying every index set takes about
 # 10 s on a 2-CPU machine
 MAX_FAMILY_N = 13
+# the work grows about as ambient_dim^3: three random planes in R^1024 take
+# about 6 s to build and verify, and the identity matrix of the full space
+# alone needs 8 * ambient_dim^2 bytes
+MAX_AMBIENT_DIM = 1024
 VERIFY_TOL = 1e-7
 
 
@@ -233,6 +237,8 @@ def load_family(data) -> SubspaceFamily:
     ambient_dim = _json_int(data["ambient_dim"], "ambient_dim")
     if ambient_dim < 1:
         raise InputFormatError(f"ambient_dim must be at least 1, got {ambient_dim}")
+    if ambient_dim > MAX_AMBIENT_DIM:
+        raise InputFormatError(f"ambient_dim must be at most {MAX_AMBIENT_DIM}, got {ambient_dim}")
     spans = data.get("subspaces")
     if not isinstance(spans, list) or not spans:
         raise InputFormatError("family document needs a nonempty list field 'subspaces'")

@@ -1,5 +1,6 @@
-"""Shared helpers: fixture loading, seeded family generators, and a terminal
-summary that prints one PASS/FAIL line per acceptance criterion."""
+"""Shared helpers: fixture loading, seeded family generators, JSON fuzz
+strategies, and a terminal summary that prints one PASS/FAIL line per
+acceptance criterion."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import garland as g
 from garland.decomposition import random_family
@@ -68,6 +70,19 @@ def intersecting_family(seed: int, ambient_dim: int, n: int, extra_dims) -> g.Su
         members.append(g.Subspace.from_spanning(ambient_dim, np.vstack(rows)))
     members.append(g.Subspace.from_spanning(ambient_dim, cores))
     return g.SubspaceFamily(ambient_dim, tuple(members))
+
+
+# JSON-shaped values for loader fuzzing; the integers past the float range
+# probe every place a loader hands a JSON integer on as a float
+json_scalars = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.booleans(),
+)
+json_values = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
 
 
 _acceptance_outcomes: dict[str, str] = {}

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import garland as g
-from garland.complexes import link_graph, random_walk_second_eig
+from garland.complexes import random_walk_second_eig
 from garland.coxeter import coxeter_complex_cosine_check, enumerate_group
 from garland.decomposition import build_lattice, verify_decomposition
 from garland.linalg import max_abs, sym_eigs
@@ -61,14 +61,13 @@ def test_criterion_02_spherical_complex_agreement():
 
 def test_criterion_03_even_cycle_walk_law():
     for m in (2, 3, 4, 6, 8):
-        graph = link_graph(g.cycle_complex(2 * m))
-        lam = random_walk_second_eig(graph)
+        lam = random_walk_second_eig(g.cycle_complex(2 * m))
         assert abs(lam - math.cos(math.pi / m)) <= 1e-9
 
 
 def test_criterion_04_heawood_fixture():
     x = g.load_complex(load_fixture("heawood.json"))
-    lam = random_walk_second_eig(link_graph(x))
+    lam = random_walk_second_eig(x)
     assert abs(lam - math.sqrt(2.0) / 3.0) <= 1e-9
     assert g.thickness(x) == 3
     assert abs(lam - g.feit_higman_bound(3, 2)) <= 1e-9

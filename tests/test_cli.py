@@ -263,6 +263,13 @@ MALFORMED = {
         "analyze-coxeter", '{"rank": 2, "m": [[1, 1e400], [1e400, 1]]}',
         "m[0][1] must be an integer or null",
     ),
+    "coxeter-order-integer-overflow": (
+        "analyze-coxeter", '{"rank": 2, "m": [[1, 1%s], [1%s, 1]]}' % ("0" * 400, "0" * 400),
+        "m[0][1] is beyond the float range",
+    ),
+    "json-integer-past-the-digit-limit": (
+        "analyze-coxeter", '{"rank": 2, "m": [[1, %s], [3, 1]]}' % ("9" * 5000), "digits",
+    ),
     "coxeter-rank-string": (
         "analyze-coxeter", '{"rank": "2", "m": [[1, 3], [3, 1]]}',
         "rank must be an integer, got '2'",
@@ -281,6 +288,10 @@ MALFORMED = {
     "family-ambient-dim-zero": (
         "decompose", '{"ambient_dim": 0, "subspaces": [[[]], [[]]]}',
         "ambient_dim must be at least 1, got 0",
+    ),
+    "family-ambient-dim-over-the-limit": (
+        "decompose", '{"ambient_dim": 1025, "subspaces": [[], []]}',
+        "ambient_dim must be at most 1024, got 1025",
     ),
     "family-vector-entry-string": (
         "decompose", '{"ambient_dim": 2, "subspaces": [[["1", "0"]], [[0, 1]]]}',
@@ -318,4 +329,39 @@ def test_malformed_input_exits_1(case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("garland: error: ")
     assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
+FINITE_TOL = "--tol must be a finite number"
+# (option arguments, subcommand, fixture, text the error must contain)
+BAD_OPTIONS = {
+    "tol-nan": (["--tol", "nan"], "decompose", "pd_family.json", FINITE_TOL),
+    "tol-inf": (["--tol", "inf"], "decompose", "pd_family.json", FINITE_TOL),
+    "tol-minus-inf": (["--tol=-inf"], "decompose", "pd_family.json", FINITE_TOL),
+    "thickness-beyond-float": (
+        ["--thickness", "1" + "0" * 400], "analyze-coxeter", "a3.json",
+        "q is beyond the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_out_of_range_option_exits_1(case, capsys):
+    options, subcommand, fixture, message = BAD_OPTIONS[case]
+    code = main([subcommand, "--input", fixture_path(fixture), *options])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("garland: error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_undecodable_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{")
+    code = main(["analyze-coxeter", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"garland: error: {path}: ")
     assert "Traceback" not in captured.err

@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 
 import garland as g
 from garland.complexes import (
-    LinkGraph,
     bfs_distances,
     cycle_complex,
     gallery_connected,
     graph_diameter,
     is_cycle,
-    link_graph,
     link_of,
     random_walk_second_eig,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import load_fixture
+from conftest import json_values, load_fixture
 
 
 def octahedron():
@@ -105,24 +103,21 @@ def test_thickness():
     assert g.thickness(g.load_complex(load_fixture("heawood.json"))) == 3
 
 
-def test_link_graph_and_walk():
+def test_heawood_walk_diameter_and_cycle():
     x = g.load_complex(load_fixture("heawood.json"))
-    graph = link_graph(x)
-    degrees = graph.degrees()
-    assert set(degrees.values()) == {3}
-    lam = random_walk_second_eig(graph)
+    assert {len(x.star({v})) for v in x.vertex_types} == {3}
+    lam = random_walk_second_eig(x)
     assert abs(lam - math.sqrt(2.0) / 3.0) <= 1e-12
-    assert graph_diameter(graph) == 3
-    assert not is_cycle(graph)
+    assert graph_diameter(x) == 3
+    assert not is_cycle(x)
 
 
 def test_cycle_complexes():
     x = cycle_complex(8)
-    graph = link_graph(x)
-    assert is_cycle(graph)
-    assert abs(random_walk_second_eig(graph) - math.cos(math.pi / 4)) <= 1e-12
+    assert is_cycle(x)
+    assert abs(random_walk_second_eig(x) - math.cos(math.pi / 4)) <= 1e-12
     # 4-cycle: walk spectrum {1, 0, 0, -1}
-    assert abs(random_walk_second_eig(link_graph(cycle_complex(4)))) <= 1e-12
+    assert abs(random_walk_second_eig(cycle_complex(4))) <= 1e-12
     with pytest.raises(ValidationError):
         cycle_complex(5)
     with pytest.raises(ValidationError):
@@ -130,14 +125,27 @@ def test_cycle_complexes():
 
 
 def test_walk_rejects_disconnected():
-    graph = LinkGraph(
-        types=(0, 1),
-        vertex_ids=(0, 1, 2, 3),
-        vertex_types={0: 0, 1: 1, 2: 0, 3: 1},
-        edges=(frozenset({0, 1}), frozenset({2, 3})),
+    two_edges = g.PartiteComplex(
+        {0: 0, 1: 1, 2: 0, 3: 1}, (frozenset({0, 1}), frozenset({2, 3}))
     )
     with pytest.raises(ValidationError, match="B2"):
-        random_walk_second_eig(graph)
+        random_walk_second_eig(two_edges)
+    with pytest.raises(ValidationError, match="not connected"):
+        graph_diameter(two_edges)
+    assert not is_cycle(two_edges)
+
+
+def test_walk_rejects_zero_degree_vertices():
+    # vertex 2 is declared but lies in no facet
+    x = g.PartiteComplex({0: 0, 1: 1, 2: 0}, (frozenset({0, 1}),))
+    with pytest.raises(ValidationError, match=r"zero-degree vertices \[2\]"):
+        random_walk_second_eig(x)
+
+
+@pytest.mark.parametrize("fn", [random_walk_second_eig, graph_diameter, is_cycle])
+def test_walk_functions_need_dimension_1(fn):
+    with pytest.raises(ValidationError, match="expected a 1-dimensional complex, got dim"):
+        fn(octahedron())
 
 
 def test_cosine_matrix_of_octahedron():
@@ -173,6 +181,9 @@ def test_heawood_cosine_degenerate():
     assert report.degenerate
     assert report.matrix.dim == 2
     assert abs(report.matrix.matrix[0, 1] + math.sqrt(2.0) / 3.0) <= 1e-12
+    # the one codimension-2 simplex is the empty one, whose link is the graph
+    assert report.per_pair[(0, 1)].link_lengths == (14,)
+    assert not report.per_pair[(0, 1)].all_cycles
 
 
 def index_test_complexes():
@@ -216,19 +227,15 @@ def test_bfs_distances():
     assert bfs_distances(3, path.__getitem__) == {3: 0}
 
 
-_json_scalars = st.one_of(
-    st.integers(-2, 3), st.floats(), st.text(max_size=2), st.none(), st.booleans()
-)
-_json_values = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
 _complex_docs = st.fixed_dictionaries(
     {
         "vertices": st.lists(
-            st.one_of(st.fixed_dictionaries({"id": _json_values, "type": _json_values}), _json_values),
+            st.one_of(st.fixed_dictionaries({"id": json_values, "type": json_values}), json_values),
             max_size=4,
         ),
-        "facets": st.lists(_json_values, max_size=4),
+        "facets": st.lists(json_values, max_size=4),
     },
-    optional={"n": _json_values},
+    optional={"n": json_values},
 )
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garland as g
 from garland import coxeter
@@ -16,10 +18,10 @@ from garland.coxeter import (
     generator_matrices,
     root_system,
 )
-from garland.errors import GroupEnumerationError, InputFormatError, ValidationError
+from garland.errors import GarlandError, GroupEnumerationError, InputFormatError, ValidationError
 from garland.linalg import max_abs, sym_eigs
 
-from conftest import load_fixture
+from conftest import json_scalars, json_values, load_fixture
 
 
 def cox_of(name):
@@ -203,9 +205,7 @@ def test_hexagon_complex():
     assert x.n == 1
     assert len(x.facets) == 6
     assert len(x.vertex_types) == 6
-    graph = g.link_graph(x)
-    degrees = graph.degrees()
-    assert all(d == 2 for d in degrees.values())
+    assert all(len(x.star({v})) == 2 for v in x.vertex_types)
 
 
 def test_a3_complex_shape():
@@ -238,8 +238,56 @@ def test_cosine_check_report():
     assert max_abs(check.cosine_matrix.matrix - g.coxeter_cosine(cox).matrix) <= 1e-12
 
 
+def test_cosine_check_builds_each_link_once_per_pass(monkeypatch):
+    calls = []
+    original = g.complexes.link_of
+
+    def counting_link_of(x, sigma):
+        calls.append(frozenset(sigma))
+        return original(x, sigma)
+
+    assert not hasattr(coxeter, "link_of")  # so this binding sees every link
+    monkeypatch.setattr(g.complexes, "link_of", counting_link_of)
+    cox = cox_of("a3.json")
+    check = coxeter_complex_cosine_check(cox)
+    # B2 takes the empty simplex and the 14 vertices; the walk pass takes the
+    # 14 vertices again, and the cycle check reads what the walk pass saw
+    assert len(calls) == 29
+    assert len(set(calls)) == 15
+    assert check.links_ok
+    for (i, j), link in check.link_checks.items():
+        spec = check.complex_report.per_pair[(i, j)]
+        assert link.observed_lengths == spec.link_lengths
+        assert link.all_cycles == spec.all_cycles
+        assert len(link.observed_lengths) == 24 // (2 * cox.m[i][j])  # one link per coset of W_ij
+
+
 def test_affine_cosine_spectrum():
     c = g.coxeter_cosine(cox_of("affine_a2.json"))
     eigs = sym_eigs(c.matrix).eigenvalues
     assert abs(eigs[0]) <= 1e-12
     assert np.allclose(eigs[1:], 1.5, atol=1e-12)
+
+
+@st.composite
+def _coxeter_docs(draw):
+    # a symmetric table with 1 on the diagonal when the draw allows, so that
+    # entries reach coxeter_cosine as well as the loader
+    rank = draw(st.integers(1, 3))
+    upper = {(i, j): draw(json_scalars) for i in range(rank) for j in range(i + 1, rank)}
+    table = [
+        [1 if i == j else upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)
+    ]
+    return {
+        "rank": draw(st.one_of(st.just(rank), json_values)),
+        "m": draw(st.one_of(st.just(table), json_values)),
+    }
+
+
+@settings(deadline=None)
+@given(_coxeter_docs())
+def test_load_coxeter_matrix_fails_only_with_garland_errors(doc):
+    try:
+        g.coxeter_cosine(g.load_coxeter_matrix(doc))
+    except GarlandError:
+        pass

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garland as g
 from garland.decomposition import (
@@ -16,10 +18,10 @@ from garland.decomposition import (
     random_family,
     verify_decomposition,
 )
-from garland.errors import InputFormatError, ValidationError
+from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import load_fixture, pd_families
+from conftest import json_scalars, json_values, load_fixture, pd_families
 
 
 def test_mask_helpers():
@@ -153,3 +155,21 @@ def test_verify_rejects_bad_tol():
     fam = coordinate_axes_family()
     with pytest.raises(ValidationError):
         verify_decomposition(fam, 0, tol=-1.0)
+
+
+_rows = st.lists(st.lists(json_scalars, min_size=1, max_size=3), max_size=3)
+_family_docs = st.fixed_dictionaries(
+    {
+        "ambient_dim": st.one_of(st.integers(1, 3), json_values),
+        "subspaces": st.one_of(st.lists(_rows, max_size=3), json_values),
+    }
+)
+
+
+@settings(deadline=None)
+@given(_family_docs)
+def test_load_family_fails_only_with_garland_errors(doc):
+    try:
+        g.load_family(doc)
+    except GarlandError:
+        pass

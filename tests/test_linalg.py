@@ -62,14 +62,14 @@ def test_sym_eigs_a_n_cosine_matrix_closed_form(n):
 
 @pytest.mark.parametrize("length", range(4, 13, 2))
 def test_sym_eigs_cycle_walk_closed_form(length):
-    graph = g.link_graph(g.cycle_complex(length))
+    cycle = g.cycle_complex(length)
     walk = np.zeros((length, length))
-    for edge in graph.edges:
+    for edge in cycle.facets:
         a, b = tuple(edge)
         walk[a, b] = walk[b, a] = 0.5  # every vertex has degree 2
     expected = sorted(math.cos(2 * math.pi * k / length) for k in range(length))
     assert max_abs(sym_eigs(walk).eigenvalues - expected) <= 1e-14
-    assert abs(g.random_walk_second_eig(graph) - math.cos(2 * math.pi / length)) <= 1e-14
+    assert abs(g.random_walk_second_eig(cycle) - math.cos(2 * math.pi / length)) <= 1e-14
 
 
 def test_intersect_recovers_a_shared_plane():

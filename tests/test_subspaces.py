@@ -11,13 +11,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garland as g
-from garland.errors import DimensionMismatchError, SingularityError, ValidationError
+from garland.complexes import _number_table
+from garland.errors import (
+    DimensionMismatchError,
+    GarlandError,
+    SingularityError,
+    ValidationError,
+)
 from garland.linalg import max_abs
 from garland.subspaces import residual_complement
 
-from conftest import intersecting_family
+from conftest import intersecting_family, json_scalars, json_values
 
 
 def projector(s: g.Subspace) -> np.ndarray:
@@ -240,3 +248,12 @@ def test_spherical_face_family_errors():
         g.spherical_face_family([[1.0, 0.0], [2.0, 0.0]])  # not unit
     with pytest.raises(ValidationError):
         g.spherical_face_family([[1.0, 0.0], [-1.0, 0.0]])  # dependent
+
+
+@settings(deadline=None)
+@given(st.one_of(st.lists(st.lists(json_scalars, max_size=3), max_size=3), json_values))
+def test_spherical_simplex_input_fails_only_with_garland_errors(vertices):
+    try:
+        g.spherical_face_family(_number_table(vertices, "vertices"))
+    except GarlandError:
+        pass
