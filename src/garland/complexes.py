@@ -7,12 +7,18 @@ simplex is in the complex when the stars of its vertices meet, and its link
 is read off their intersection.  `faces(types)` groups the facets by their
 face of one type set, listing the simplices of that type with their facets.
 A link is again a partite complex; a 1-dimensional one is a bipartite graph
-whose edges are its facets, and the walk spectrum, diameter and cycle test
-read their neighbours from those facets.  The cosine matrix of an
-n-dimensional complex collects, for every unordered type pair {i, j}, the
-second largest random-walk eigenvalue over the links of codimension-2
-simplices whose cotype is {i, j}; the same pass records each link's vertex
-count and whether it is a cycle, for the Coxeter-complex check.
+whose edges are its facets.
+
+The cosine matrix of an n-dimensional complex collects, for every unordered
+type pair {i, j}, the second largest random-walk eigenvalue over the links of
+codimension-2 simplices whose cotype is {i, j}.  Those links are handled a
+cotype at a time: links of one vertex count become one stack of adjacency
+matrices, so their walk spectra are one stacked `eigvalsh` call, and their
+diameters and cycle flags (for the Coxeter-complex check) come from boolean
+powers and degrees of the same stack.  `validate_complex` proves every link
+connected (B2) before this pass, which therefore re-checks none.  The one-link
+functions `random_walk_second_eig`, `graph_diameter` and `is_cycle` are the
+same computation on a stack of one, with their own checks.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class PartiteComplex:
 
     def __post_init__(self):
         vt = dict(self.vertex_types)
-        facets = tuple(frozenset(f) for f in self.facets)
+        facets = tuple(map(frozenset, self.facets))
         if not facets:
             raise ValidationError("a complex needs at least one facet")
         types = self.types
@@ -50,23 +56,33 @@ class PartiteComplex:
             types = tuple(sorted(set(vt.values())))
         else:
             types = tuple(sorted(types))
-        extra = set(vt.values()) - set(types)
+        extra = set(vt.values()).difference(types)
         if extra:
             raise ValidationError(f"vertex types {sorted(extra)} missing from type list")
-        seen = set()
-        for f in facets:
-            if f in seen:
-                raise ValidationError(f"duplicate facet {sorted(f)}")
-            seen.add(f)
-            unknown = [v for v in f if v not in vt]
-            if unknown:
+        # a facet's checks run in order, the duplicate check first, so the
+        # error names the first bad facet; duplicates are rare, so they are
+        # found by set size and looked for only to name the offender
+        bad = len(facets)
+        if len(set(facets)) < bad:
+            seen = set()
+            for bad, f in enumerate(facets):
+                if f in seen:
+                    break
+                seen.add(f)
+        declared = vt.keys()
+        expected = list(types)
+        for f in facets[:bad]:
+            if not declared >= f:
+                unknown = [v for v in f if v not in vt]
                 raise ValidationError(f"facet {sorted(f)} uses undeclared vertices {unknown}")
-            ftypes = sorted(vt[v] for v in f)
-            if len(f) != len(types) or ftypes != list(types):
+            ftypes = sorted(map(vt.__getitem__, f))
+            if ftypes != expected:
                 raise ValidationError(
                     f"facet {sorted(f)} must have exactly one vertex of each type "
-                    f"{list(types)}, got types {ftypes}"
+                    f"{expected}, got types {ftypes}"
                 )
+        if bad < len(facets):
+            raise ValidationError(f"duplicate facet {sorted(facets[bad])}")
         object.__setattr__(self, "vertex_types", vt)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "types", types)
@@ -190,7 +206,8 @@ def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
     star = x.star(s)
     if not star:
         raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
-    remaining = tuple(t for t in x.types if t not in x.type_of(s))
+    sigma_types = x.type_of(s)
+    remaining = tuple(t for t in x.types if t not in sigma_types)
     link_facets = tuple(sorted((x.facets[idx] - s for idx in star), key=sorted))
     used = set().union(*link_facets) if remaining else set()
     vt = {v: x.vertex_types[v] for v in used}
@@ -235,33 +252,89 @@ def thickness(x: PartiteComplex) -> int:
     )
 
 
-def _neighbours(x: PartiteComplex) -> dict[int, list[int]]:
-    """Each vertex of a 1-dimensional complex, in sorted order, with the
-    vertices it shares a facet with."""
-    if x.n != 1:
-        raise ValidationError(f"expected a 1-dimensional complex, got dimension {x.n}")
-    adj: dict[int, list[int]] = {v: [] for v in sorted(x.vertex_types)}
-    for a, b in x.facets:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
+def _walk_spectra(links) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second walk eigenvalue, diameter and cycle flag of each 1-dimensional
+    complex in `links`, as three arrays in the order of `links`.
+
+    Links of one vertex count share a (k, v, v) adjacency stack, rows in
+    sorted-vertex order, and one `sym_eigs` call on their degree-symmetrized
+    walk matrices, with entries adjacency[u][v] / sqrt(d(u) d(v)); these share
+    the walks' spectra.  A zero-degree vertex keeps a zero row, so its link
+    still has a (meaningless) eigenvalue.  The diameter is the least d with
+    (I + A)^d positive everywhere, or -1 when there is none, that is, when
+    the link is not connected; a cycle is connected with every degree 2.
+    """
+    for x in links:
+        if x.n != 1:
+            raise ValidationError(f"expected a 1-dimensional complex, got dimension {x.n}")
+    second = np.empty(len(links))
+    diameter = np.empty(len(links), dtype=int)
+    cycle = np.empty(len(links), dtype=bool)
+    by_size: dict[int, list[int]] = {}
+    for idx, x in enumerate(links):
+        by_size.setdefault(len(x.vertex_types), []).append(idx)
+    for size, members in by_size.items():
+        layer, rows, cols = [], [], []
+        for k, idx in enumerate(members):
+            pos = {v: i for i, v in enumerate(sorted(links[idx].vertex_types))}
+            for a, b in links[idx].facets:
+                layer.append(k)
+                rows.append(pos[a])
+                cols.append(pos[b])
+        adj = np.zeros((len(members), size, size))
+        adj[layer, rows, cols] = adj[layer, cols, rows] = 1.0
+        degree = adj.sum(axis=2)
+        d = np.maximum(degree, 1.0)
+        walk = adj / np.sqrt(d[:, :, None] * d[:, None, :])
+        second[members] = sym_eigs(walk).eigenvalues[:, -2]
+        diameter[members] = _diameters(adj)
+        cycle[members] = (degree == 2).all(axis=1) & (diameter[members] >= 0)
+    return second, diameter, cycle
+
+
+def _diameters(adj: np.ndarray) -> np.ndarray:
+    """Least d with (I + A)^d positive everywhere, for each adjacency matrix
+    of a (k, v, v) stack with v >= 2, or -1 where no d works.
+
+    Boolean powers P_i = (I + A)^(2^i) are squared up until each is full or
+    2^i reaches v - 1, the largest possible diameter; the binary digits of
+    d - 1 are then read off greedily, from the top, as the largest exponent
+    whose power is still not full.  Powers are kept as booleans and
+    multiplied in float32, whose sums of nonnegative terms are positive
+    exactly when a term is.
+    """
+    size = adj.shape[-1]
+    powers = [(adj + np.eye(size)) > 0]
+
+    def times(a, b):
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+    def full(m):
+        return m.all(axis=(1, 2))
+
+    while 2 ** (len(powers) - 1) < size - 1 and not full(powers[-1]).all():
+        powers.append(times(powers[-1], powers[-1]))
+    below = np.zeros(len(adj), dtype=int)
+    reach = np.broadcast_to(np.eye(size, dtype=bool), adj.shape)
+    for i in reversed(range(len(powers))):
+        step = times(reach, powers[i])
+        grows = ~full(step)
+        reach = np.where(grows[:, None, None], step, reach)
+        below += grows << i
+    return np.where(full(powers[-1]), below + 1, -1)
 
 
 def graph_diameter(x: PartiteComplex) -> int:
-    """Largest BFS eccentricity of a 1-dimensional complex; requires it connected."""
-    adj = _neighbours(x)
-    diam = 0
-    for start in adj:
-        dist = bfs_distances(start, adj.__getitem__)
-        if len(dist) != len(adj):
-            raise ValidationError("diameter undefined: graph not connected")
-        diam = max(diam, max(dist.values()))
-    return diam
+    """Largest distance between two vertices of a connected 1-dimensional complex."""
+    diameter = int(_walk_spectra([x])[1][0])
+    if diameter < 0:
+        raise ValidationError("diameter undefined: graph not connected")
+    return diameter
 
 
 def is_cycle(x: PartiteComplex) -> bool:
     """Whether a 1-dimensional complex is connected with every degree exactly 2."""
-    return all(len(nbrs) == 2 for nbrs in _neighbours(x).values()) and gallery_connected(x)
+    return bool(_walk_spectra([x])[2][0])
 
 
 def random_walk_second_eig(x: PartiteComplex) -> float:
@@ -271,19 +344,13 @@ def random_walk_second_eig(x: PartiteComplex) -> float:
     Computed from the degree-symmetrized walk matrix with entries
     adjacency[u][v] / sqrt(d(u) d(v)), which shares the walk's spectrum.
     """
-    adj = _neighbours(x)
-    dead = [v for v, nbrs in adj.items() if not nbrs]
+    second, diameter, _ = _walk_spectra([x])
+    dead = [v for v in sorted(x.vertex_types) if not x.star({v})]
     if dead:
         raise ValidationError(f"random walk undefined: zero-degree vertices {dead}")
-    if not gallery_connected(x):
+    if diameter[0] < 0:
         raise ValidationError("link not connected (violates B2)")
-    pos = {v: i for i, v in enumerate(adj)}
-    m = np.zeros((len(adj), len(adj)))
-    for a, b in x.facets:
-        w = 1.0 / np.sqrt(len(adj[a]) * len(adj[b]))
-        m[pos[a], pos[b]] = w
-        m[pos[b], pos[a]] = w
-    return float(sym_eigs(m).eigenvalues[-2])
+    return float(second[0])
 
 
 def cycle_complex(length: int) -> PartiteComplex:
@@ -387,17 +454,10 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     per_pair: dict[tuple[int, int], PairSpectrum] = {}
     for ti, tj in itertools.combinations(types, 2):
         reps = x.faces(t for t in types if t not in (ti, tj))
-        lambdas = []
-        lengths = []
-        diameter = 0
-        cycles = True
-        for sigma in reps:
-            link = link_of(x, sigma)
-            lambdas.append(random_walk_second_eig(link))
-            diameter = max(diameter, graph_diameter(link))
-            lengths.append(len(link.vertex_types))
-            cycles = cycles and is_cycle(link)
-        lam = max(lambdas)
+        # validate_complex has proved every link connected (B2)
+        links = [link_of(x, sigma) for sigma in reps]
+        lambdas, diameters, cycles = _walk_spectra(links)
+        lam = float(lambdas.max())
         if lam < -WALK_NEGATIVE_TOL:
             raise ValidationError(
                 f"pair {{{ti},{tj}}}: walk eigenvalue {lam:g} is negative "
@@ -407,10 +467,10 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
         per_pair[(ti, tj)] = PairSpectrum(
             second_eigenvalue=lam,
             representatives=len(reps),
-            max_disagreement=max(lambdas) - min(lambdas),
-            link_diameter=diameter,
-            link_lengths=tuple(lengths),
-            all_cycles=cycles,
+            max_disagreement=float(lambdas.max() - lambdas.min()),
+            link_diameter=int(diameters.max()),
+            link_lengths=tuple(len(link.vertex_types) for link in links),
+            all_cycles=bool(cycles.all()),
         )
         matrix[pos[ti], pos[tj]] = -lam
         matrix[pos[tj], pos[ti]] = -lam

@@ -21,7 +21,7 @@ from .errors import (
     FeitHigmanExcludedError,
     ValidationError,
 )
-from .linalg import as_symmetric, sym_eigs
+from .linalg import as_symmetric_matrix, sym_eigs
 from .subspaces import CosineMatrix
 
 ALLOWED_GONALITIES = (2, 3, 4, 6, 8)
@@ -78,7 +78,7 @@ def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndar
     affinely, so its smallest eigenvalue is immediate from that of C.
     """
     q = _check_q(q)
-    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric(c)
+    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
     scale = 2.0 * math.sqrt(q) / (q + 1)
     return scale * matrix + (1.0 - scale) * np.eye(matrix.shape[0])
 
@@ -89,7 +89,7 @@ def min_thickness(c: CosineMatrix | np.ndarray) -> int:
     Exists for every input since the threshold decreases without bound; any
     positive semidefinite cosine matrix already passes at q = 2.
     """
-    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric(c)
+    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
     smallest = float(sym_eigs(matrix).eigenvalues[0])
     q = 2
     while smallest <= threshold(q):

@@ -56,31 +56,48 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def as_symmetric(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Validate and return a float64 copy of a symmetric square matrix.
+    """Validate and return a float64 copy of a symmetric matrix, or of a
+    stack of them with shape (..., k, k).
 
-    Entries must be finite and the asymmetry max |M - M^T| must not exceed
-    `tol`; the returned copy is exactly symmetrized so later arithmetic never
-    sees the stray low-order bits.
+    Every matrix must be square with k >= 1, entries must be finite, and the
+    asymmetry max |M - M^T| must not exceed `tol`; the returned copy is
+    exactly symmetrized so later arithmetic never sees the stray low-order
+    bits.
     """
     m = np.array(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise ValidationError("matrix dimension must be at least 1")
+    if m.size == 0:
+        raise ValidationError(f"a stack needs at least one matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
-    if max_abs(m - m.T) > tol:
+    mt = m.swapaxes(-1, -2)
+    asymmetry = max_abs(m - mt)
+    if asymmetry > tol:
         raise ValidationError(
-            f"matrix is not symmetric within {tol:g}: max |M - M^T| = {max_abs(m - m.T):g}"
+            f"matrix is not symmetric within {tol:g}: max |M - M^T| = {asymmetry:g}"
         )
-    return (m + m.T) / 2.0
+    return (m + mt) / 2.0
+
+
+def as_symmetric_matrix(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """`as_symmetric` for callers that take one matrix: a stack is refused."""
+    m = as_symmetric(matrix, tol)
+    if m.ndim != 2:
+        raise ValidationError(f"expected one square matrix, got a stack of shape {m.shape}")
+    return m
 
 
 def sym_eigs(matrix, want_vectors: bool = False) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix, or of each matrix of a
+    stack (..., k, k).
 
-    Returns eigenvalues ascending; when `want_vectors` is set the columns of
-    `eigenvectors` are the matching orthonormal eigenvectors.
+    Returns eigenvalues ascending along the last axis; when `want_vectors` is
+    set the columns of `eigenvectors` are the matching orthonormal
+    eigenvectors.  A stack is one LAPACK call per matrix inside numpy, with
+    no Python loop.
     """
     m = as_symmetric(matrix)
     if want_vectors:
@@ -101,7 +118,7 @@ def classify_definiteness(matrix, zero_tol: float | None = None) -> Definiteness
     positive semidefinite when it is at least `-zero_tol`, with corank the
     number of eigenvalues within `zero_tol` of zero; indefinite otherwise.
     """
-    m = as_symmetric(matrix)
+    m = as_symmetric_matrix(matrix)
     if zero_tol is None:
         zero_tol = default_zero_tol(m)
     w = sym_eigs(m).eigenvalues
@@ -116,8 +133,8 @@ def classify_definiteness(matrix, zero_tol: float | None = None) -> Definiteness
 
 def matrix_leq(a, b) -> bool:
     """Exact entrywise comparison a <= b for same-shaped symmetric matrices."""
-    ma = as_symmetric(a)
-    mb = as_symmetric(b)
+    ma = as_symmetric_matrix(a)
+    mb = as_symmetric_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     return bool(np.all(ma <= mb))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularityError, ValidationError
-from .linalg import as_symmetric, max_abs, orthonormalize, sym_eigs
+from .linalg import as_symmetric_matrix, max_abs, orthonormalize, sym_eigs
 
 CONTAINMENT_TOL = 1e-8
 INTERSECT_TOL = 1e-8
@@ -104,7 +104,7 @@ class CosineMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_symmetric(self.matrix)
+        m = as_symmetric_matrix(self.matrix)
         d = np.diag(m)
         if not np.all(d == 1.0):
             raise ValidationError("cosine matrix diagonal must be exactly 1")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import garland as g
 from garland.complexes import (
+    _walk_spectra,
     bfs_distances,
     cycle_complex,
     gallery_connected,
@@ -31,14 +32,26 @@ def octahedron():
 
 
 def test_complex_validation_errors():
-    with pytest.raises(ValidationError):
-        g.PartiteComplex({0: 0, 1: 1}, (frozenset({0, 1}), frozenset({0, 1})))  # dup facet
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"duplicate facet \[0, 1\]"):
+        g.PartiteComplex({0: 0, 1: 1}, (frozenset({0, 1}), frozenset({0, 1})))
+    with pytest.raises(ValidationError, match="exactly one vertex of each type"):
         g.PartiteComplex({0: 0, 1: 0}, (frozenset({0, 1}),))  # repeated type in facet
-    with pytest.raises(ValidationError):
-        g.PartiteComplex({0: 0}, (frozenset({0, 7}),))  # undeclared vertex
-    with pytest.raises(ValidationError):
-        g.PartiteComplex({0: 0, 1: 1}, ())  # no facets
+    with pytest.raises(ValidationError, match=r"undeclared vertices \[7\]"):
+        g.PartiteComplex({0: 0}, (frozenset({0, 7}),))
+    with pytest.raises(ValidationError, match="at least one facet"):
+        g.PartiteComplex({0: 0, 1: 1}, ())
+
+
+def test_complex_validation_names_the_first_bad_facet():
+    vt = {0: 0, 1: 1, 2: 0, 3: 1}
+    ok, other = frozenset({0, 1}), frozenset({2, 3})
+    # facets are checked in order, each for duplication first
+    with pytest.raises(ValidationError, match=r"undeclared vertices \[7\]"):
+        g.PartiteComplex(vt, (ok, frozenset({0, 7}), ok))
+    with pytest.raises(ValidationError, match=r"duplicate facet \[0, 1\]"):
+        g.PartiteComplex(vt, (ok, ok, frozenset({0, 7})))
+    with pytest.raises(ValidationError, match=r"facet \[1, 3\] must have exactly one"):
+        g.PartiteComplex(vt, (ok, other, frozenset({1, 3}), other))
 
 
 def test_loader_errors():
@@ -133,6 +146,16 @@ def test_walk_rejects_disconnected():
     with pytest.raises(ValidationError, match="not connected"):
         graph_diameter(two_edges)
     assert not is_cycle(two_edges)
+    # every degree is 2, but the two squares are apart
+    squares = g.PartiteComplex(
+        {v: v % 2 for v in range(8)},
+        tuple(frozenset({base + i, base + (i + 1) % 4}) for base in (0, 4) for i in range(4)),
+    )
+    with pytest.raises(ValidationError, match="B2"):
+        random_walk_second_eig(squares)
+    with pytest.raises(ValidationError, match="not connected"):
+        graph_diameter(squares)
+    assert not is_cycle(squares)
 
 
 def test_walk_rejects_zero_degree_vertices():
@@ -175,6 +198,82 @@ def test_cosine_matrix_error_paths():
         g.cosine_matrix_of_complex(bowtie)
 
 
+def index_test_complexes():
+    chambers = [
+        g.build_coxeter_complex(g.load_coxeter_matrix(load_fixture(name))).complex
+        for name in ("a3.json", "b3.json", "h3.json")
+    ]
+    return chambers + [octahedron(), g.load_complex(load_fixture("heawood.json"))]
+
+
+def reference_walk(link):
+    """Second walk eigenvalue, diameter and cycle flag of a connected
+    1-dimensional complex by loops: one walk matrix and a breadth-first
+    search from every vertex."""
+    nbrs = {v: [] for v in sorted(link.vertex_types)}
+    for a, b in link.facets:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    pos = {v: i for i, v in enumerate(nbrs)}
+    walk = np.zeros((len(nbrs), len(nbrs)))
+    for a, b in link.facets:
+        walk[pos[a], pos[b]] = walk[pos[b], pos[a]] = 1.0 / np.sqrt(len(nbrs[a]) * len(nbrs[b]))
+    distances = [bfs_distances(v, nbrs.__getitem__) for v in nbrs]
+    assert all(len(dist) == len(nbrs) for dist in distances)
+    diameter = max(max(dist.values()) for dist in distances)
+    return float(np.linalg.eigvalsh(walk)[-2]), diameter, all(len(n) == 2 for n in nbrs.values())
+
+
+def assert_walk_pass_matches_one_link(x, report):
+    """Every per-pair summary equals what the one-link functions and the
+    loop reference give on each link, taken in faces() order; floats compare
+    exactly, as the arithmetic is the same."""
+    for (ti, tj), spec in report.per_pair.items():
+        links = [link_of(x, sigma) for sigma in x.faces(t for t in x.types if t not in (ti, tj))]
+        lambdas = [random_walk_second_eig(link) for link in links]
+        diameters = [graph_diameter(link) for link in links]
+        cycles = [is_cycle(link) for link in links]
+        assert list(zip(lambdas, diameters, cycles)) == [reference_walk(link) for link in links]
+        stacked = _walk_spectra(links)  # what the pass read, link by link
+        assert [list(column) for column in stacked] == [lambdas, diameters, cycles]
+        assert spec.second_eigenvalue == max(max(lambdas), 0.0)
+        assert spec.max_disagreement == max(lambdas) - min(lambdas)
+        assert spec.link_diameter == max(diameters)
+        assert spec.link_lengths == tuple(len(link.vertex_types) for link in links)
+        assert spec.all_cycles == all(cycles)
+        assert spec.representatives == len(links)
+
+
+def apexes_over_a_bipartite_graph():
+    """Apex 0 (type 0) joined to the edges u1-{w1, w2, w3}, u2-{w1, w2} and
+    apex 1 to u1-{w1, w3}, u2-w1 (u of type 1, w of type 2): links of one
+    cotype have different vertex counts and different spectra."""
+    u1, u2, w1, w2, w3 = 10, 11, 20, 21, 22
+    vt = {0: 0, 1: 0, u1: 1, u2: 1, w1: 2, w2: 2, w3: 2}
+    edges = {
+        0: [(u1, w1), (u1, w2), (u1, w3), (u2, w1), (u2, w2)],
+        1: [(u1, w1), (u1, w3), (u2, w1)],
+    }
+    return g.PartiteComplex(
+        vt, tuple(frozenset({a, u, w}) for a, pairs in edges.items() for u, w in pairs)
+    )
+
+
+def test_walk_pass_over_links_of_several_sizes_matches_one_link_calls():
+    x = apexes_over_a_bipartite_graph()
+    report = g.cosine_matrix_of_complex(x)
+    sizes = {pair: sorted(spec.link_lengths) for pair, spec in report.per_pair.items()}
+    assert sizes == {(0, 1): [3, 3, 4], (0, 2): [4, 5], (1, 2): [4, 5]}
+    assert report.per_pair[(0, 2)].max_disagreement > 0.05
+    assert report.per_pair[(1, 2)].max_disagreement > 0.05
+    assert_walk_pass_matches_one_link(x, report)
+
+
+@pytest.mark.parametrize("x", index_test_complexes(), ids=["A3", "B3", "H3", "octahedron", "heawood"])
+def test_walk_pass_matches_one_link_calls(x):
+    assert_walk_pass_matches_one_link(x, g.cosine_matrix_of_complex(x))
+
+
 def test_heawood_cosine_degenerate():
     x = g.load_complex(load_fixture("heawood.json"))
     report = g.cosine_matrix_of_complex(x)
@@ -184,14 +283,6 @@ def test_heawood_cosine_degenerate():
     # the one codimension-2 simplex is the empty one, whose link is the graph
     assert report.per_pair[(0, 1)].link_lengths == (14,)
     assert not report.per_pair[(0, 1)].all_cycles
-
-
-def index_test_complexes():
-    chambers = [
-        g.build_coxeter_complex(g.load_coxeter_matrix(load_fixture(name))).complex
-        for name in ("a3.json", "b3.json", "h3.json")
-    ]
-    return chambers + [octahedron(), g.load_complex(load_fixture("heawood.json"))]
 
 
 @pytest.mark.parametrize("x", index_test_complexes(), ids=["A3", "B3", "H3", "octahedron", "heawood"])
@@ -243,6 +334,30 @@ _complex_docs = st.fixed_dictionaries(
 @given(_complex_docs)
 def test_load_complex_fails_only_with_garland_errors(doc):
     try:
-        g.load_complex(doc)
+        x = g.load_complex(doc)
+        report = g.cosine_matrix_of_complex(x)
     except GarlandError:
-        pass
+        return
+    assert_walk_pass_matches_one_link(x, report)
+
+
+# facets drawn from the 27 triples of a 3 x 3 x 3 vertex grid; vertex v has type v // 3
+_grid_facets = st.lists(
+    st.sampled_from([[a, 3 + b, 6 + c] for a in range(3) for b in range(3) for c in range(3)]),
+    min_size=6,
+    max_size=27,
+    unique_by=tuple,
+)
+
+
+@settings(deadline=None)
+@given(_grid_facets)
+def test_walk_pass_matches_one_link_calls_on_random_complexes(facets):
+    used = sorted(set().union(*facets))
+    doc = {"vertices": [{"id": v, "type": v // 3} for v in used], "facets": facets}
+    x = g.load_complex(doc)
+    try:
+        report = g.cosine_matrix_of_complex(x)
+    except GarlandError:
+        return  # not B2, or a link too thin for a cosine matrix
+    assert_walk_pass_matches_one_link(x, report)

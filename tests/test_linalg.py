@@ -110,6 +110,53 @@ def test_as_symmetric_rejects_asymmetry():
         as_symmetric(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_sym_eigs_on_a_stack_equals_the_per_slice_calls(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([random_symmetric(rng, n) for _ in range(3)])
+    values = sym_eigs(stack).eigenvalues
+    pairs = sym_eigs(stack, want_vectors=True)
+    assert values.shape == (3, n)
+    for k in range(3):
+        one = sym_eigs(stack[k], want_vectors=True)
+        assert np.array_equal(values[k], sym_eigs(stack[k]).eigenvalues)
+        assert np.array_equal(pairs.eigenvalues[k], one.eigenvalues)
+        assert np.array_equal(pairs.eigenvectors[k], one.eigenvectors)
+
+
+def test_stack_checks_every_slice():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_symmetric(rng, 3) for _ in range(3)])
+    asymmetric = stack.copy()
+    asymmetric[1, 0, 2] += 1e-6
+    nonfinite = stack.copy()
+    nonfinite[2, 1, 1] = np.inf
+    with pytest.raises(ValidationError, match="not symmetric"):
+        sym_eigs(asymmetric)
+    with pytest.raises(ValidationError, match="finite"):
+        sym_eigs(nonfinite)
+    with pytest.raises(ValidationError, match="square"):
+        sym_eigs(np.zeros((3, 2, 3)))
+    with pytest.raises(ValidationError, match="at least one matrix"):
+        sym_eigs(np.zeros((0, 3, 3)))
+    with pytest.raises(ValidationError, match="at least 1"):
+        sym_eigs(np.zeros((3, 0, 0)))
+
+
+def test_one_matrix_callers_refuse_a_stack():
+    stack = np.array([np.eye(2)] * 3)
+    with pytest.raises(ValidationError, match="stack"):
+        classify_definiteness(stack)
+    with pytest.raises(ValidationError, match="stack"):
+        g.CosineMatrix(stack)
+    with pytest.raises(ValidationError, match="stack"):
+        matrix_leq(stack, stack)
+    with pytest.raises(ValidationError, match="stack"):
+        g.min_thickness(stack)
+    with pytest.raises(ValidationError, match="stack"):
+        g.building_cosine_lower_bound(stack, 2)
+
+
 def test_classify_definiteness_hand_cases():
     assert classify_definiteness(np.diag([2.0, 3.0])).kind == "positive_definite"
     psd = classify_definiteness(np.ones((2, 2)))
