@@ -6,12 +6,22 @@ tau is everything) and the component H^tau (the part of H_tau orthogonal to
 every smaller H_eta).  The verifier checks numerically that the H^eta over
 eta inside tau really decompose H_tau as a direct sum.
 
+`build_lattice` fills H_tau from the top down: the full index set gets the
+full space, an index set missing one index i gets V_i, and every other tau
+gets H_{tau + hi} cut with V_hi, hi being the highest index outside tau.
+That is one intersection for each index set with two or more indices
+outside it, and it repeats `h_tau`'s left-to-right intersections exactly, so
+both give the same bases bit for bit.  Zero spaces add no columns, so the
+component and the verifier stack only the nonzero H_eta and H^eta; the
+stacked matrices are the same as with every submask stacked.
+
 Index sets are bitmasks; helpers accept any iterable of indices as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,9 +30,12 @@ from .errors import InputFormatError, ValidationError
 from .linalg import orthonormalize, sym_eigs
 from .subspaces import Subspace, SubspaceFamily, intersect, residual_complement
 
-# the lattice has 2^(n+1) index sets and its work grows about threefold per
-# step of n: at n = 13, building it and verifying every index set takes about
-# 10 s on a 2-CPU machine
+# the lattice has 2^(n+1) index sets.  Building it and verifying every index
+# set takes 0.3-0.4 s at n = 13 for n+1 lines or planes of R^(n+1), about
+# twice as long per step of n, on a 2-CPU machine.  Families whose H_tau are
+# all nonzero cost about four times more per step: n+1 hyperplanes of
+# R^(n+1) take 0.7-1.0 s at n = 7 and 2.8-3.3 s at n = 8, so the cap does
+# not bound their work
 MAX_FAMILY_N = 13
 # the work grows about as ambient_dim^3: three random planes in R^1024 take
 # about 6 s to build and verify, and the identity matrix of the full space
@@ -61,9 +74,20 @@ def proper_submasks(mask: int):
 
 @dataclass(frozen=True)
 class SubspaceLattice:
+    """H_tau (`h_lower`) and H^tau (`h_upper`) for every index set tau.
+
+    `components` lists the masks whose H^tau is nonzero, ascending; it is
+    derived from `h_upper` when the lattice is made.
+    """
+
     family: SubspaceFamily
     h_lower: dict[int, Subspace]
     h_upper: dict[int, Subspace]
+    components: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nonzero = tuple(mask for mask in sorted(self.h_upper) if self.h_upper[mask].dim)
+        object.__setattr__(self, "components", nonzero)
 
     @property
     def n(self) -> int:
@@ -83,22 +107,15 @@ def h_tau(family: SubspaceFamily, tau) -> Subspace:
     return result
 
 
-def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) -> Subspace:
-    """H^tau: the part of H_tau orthogonal to every H_eta with eta a proper subset.
-
-    `lattice_so_far` must already hold h_lower entries for tau and all of its
-    subsets.  The span of the smaller H_eta is projected into H_tau before
-    complementing, so marginal containment error cannot leak outside H_tau.
-    """
-    n = family.n
-    mask = as_mask(tau, n)
-    lower = lattice_so_far[mask]
-    if mask == 0:
+def _component(family: SubspaceFamily, lower: Subspace, smaller) -> Subspace:
+    """The part of `lower` orthogonal to the spaces `smaller` (ascending
+    H_eta); `smaller` is not read when `lower` is zero."""
+    if lower.dim == 0:
         return lower
-    columns = [lattice_so_far[sub].basis for sub in proper_submasks(mask)]
+    columns = [sub.basis for sub in smaller if sub.dim]
+    if not columns:
+        return lower
     stacked = np.hstack(columns)
-    if stacked.shape[1] == 0 or lower.dim == 0:
-        return lower
     projected = lower.basis @ (lower.basis.T @ stacked)
     basis, _ = orthonormalize(projected.T, rank_tol=1e-8, ambient_dim=family.ambient_dim)
     # residual_complement, not complement_within: near-degenerate families can
@@ -107,20 +124,51 @@ def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) 
     return residual_complement(lower, Subspace(family.ambient_dim, basis))
 
 
+def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) -> Subspace:
+    """H^tau: the part of H_tau orthogonal to every H_eta with eta a proper subset.
+
+    `lattice_so_far` must already hold h_lower entries for tau and all of its
+    subsets.  The span of the smaller H_eta is projected into H_tau before
+    complementing, so marginal containment error cannot leak outside H_tau.
+    """
+    mask = as_mask(tau, family.n)
+    lower = lattice_so_far[mask]
+    if mask == 0:
+        return lower
+    return _component(family, lower, [lattice_so_far[sub] for sub in proper_submasks(mask)])
+
+
 def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
-    """Populate H_tau and H^tau for every subset, in increasing cardinality order."""
+    """Populate H_tau (top down, see the module docstring) and H^tau for
+    every subset; both are keyed in increasing cardinality order."""
     n = family.n
     if n > MAX_FAMILY_N:
         raise ValidationError(
             f"families with n > {MAX_FAMILY_N} are not supported, got n = {n} "
             f"({1 << (n + 1)} index sets)"
         )
-    masks = sorted(range(1 << (n + 1)), key=lambda m: (m.bit_count(), m))
-    lower: dict[int, Subspace] = {}
-    upper: dict[int, Subspace] = {}
-    for mask in masks:
-        lower[mask] = h_tau(family, mask)
-        upper[mask] = h_sup_tau(family, mask, lower)
+    full = (1 << (n + 1)) - 1
+    masks = sorted(range(full + 1), key=lambda m: (m.bit_count(), m))
+    top_down: dict[int, Subspace] = {}
+    for mask in reversed(masks):
+        outside = full ^ mask
+        hi = outside.bit_length() - 1
+        if outside == 0:
+            top_down[mask] = Subspace.full(family.ambient_dim)
+        elif outside == 1 << hi:
+            top_down[mask] = family.members[hi]
+        else:
+            top_down[mask] = intersect(top_down[mask | 1 << hi], family.members[hi])
+    lower = {mask: top_down[mask] for mask in masks}
+    nonzero = [mask for mask in range(full + 1) if lower[mask].dim]
+    upper = {
+        mask: _component(
+            family,
+            lower[mask],
+            (lower[sub] for sub in nonzero if sub | mask == mask and sub != mask),
+        )
+        for mask in masks
+    }
     return SubspaceLattice(family=family, h_lower=lower, h_upper=upper)
 
 
@@ -149,16 +197,14 @@ def verify_decomposition(
     not necessarily orthogonal), and (c) solving the least-squares system
     over those bases reproduces every basis vector of H_tau within `tol`.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be a positive finite number, got {tol}")
     lattice = source if isinstance(source, SubspaceLattice) else build_lattice(source)
-    n = lattice.n
-    mask = as_mask(tau, n)
+    mask = as_mask(tau, lattice.n)
     target = lattice.h_lower[mask]
-    submasks = list(proper_submasks(mask)) + [mask]
-    columns = [lattice.h_upper[sub].basis for sub in submasks]
-    stacked = np.hstack(columns)
-    total = stacked.shape[1]
+    # the nonzero H^eta of the submasks eta, ascending, so mask comes last
+    columns = [lattice.h_upper[sub].basis for sub in lattice.components if sub | mask == mask]
+    total = sum(b.shape[1] for b in columns)
     dims_ok = total == target.dim
     if total == 0:
         holds = dims_ok  # nothing to span: holds only for a zero H_tau
@@ -171,6 +217,7 @@ def verify_decomposition(
             max_reconstruction_residual=None,
             tol=tol,
         )
+    stacked = np.hstack(columns)
     gram = stacked.T @ stacked
     spec = sym_eigs(gram, want_vectors=True)
     smallest_sv = float(np.sqrt(max(spec.eigenvalues[0], 0.0)))

@@ -4,7 +4,8 @@ Everything downstream funnels through `sym_eigs`, the one eigensolver seam:
 it validates symmetry, then calls LAPACK's symmetric solvers through
 `numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
 and eigenvectors orthonormal to working precision (Golub and Van Loan,
-Matrix Computations, sections 8.3 and 8.5).
+Matrix Computations, sections 8.3 and 8.5).  `classify_definiteness`
+validates its matrix once and makes the same LAPACK call.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def classify_definiteness(matrix, zero_tol: float | None = None) -> Definiteness
     m = as_symmetric_matrix(matrix)
     if zero_tol is None:
         zero_tol = default_zero_tol(m)
-    w = sym_eigs(m).eigenvalues
+    w = np.linalg.eigvalsh(m)  # m is validated already; sym_eigs would check it again
     smallest = w[0]
     if smallest > zero_tol:
         return DefinitenessClass(kind="positive_definite", corank=0)

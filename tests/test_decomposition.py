@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import garland as g
+from garland import decomposition
 from garland.decomposition import (
+    DecompositionReport,
     as_mask,
     build_lattice,
     h_sup_tau,
@@ -19,7 +23,7 @@ from garland.decomposition import (
     verify_decomposition,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
-from garland.linalg import max_abs
+from garland.linalg import max_abs, sym_eigs
 
 from conftest import json_scalars, json_values, load_fixture, pd_families
 
@@ -153,8 +157,87 @@ def test_load_family_keeps_an_empty_spanning_list():
 
 def test_verify_rejects_bad_tol():
     fam = coordinate_axes_family()
-    with pytest.raises(ValidationError):
-        verify_decomposition(fam, 0, tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="positive finite"):
+            verify_decomposition(fam, 0, tol=tol)
+
+
+def lattice_families():
+    """Hyperplanes, lines and planes in R^(n+1), a positive-definite draw, a
+    family with a zero member and three lines in a plane."""
+    out = [
+        random_family(31 + n + k, n + 1, n, [k] * (n + 1))
+        for n in (3, 5)
+        for k in (n, 1, 2)
+    ]
+    out.append(pd_families(1, seed0=70)[0][0])
+    drawn = random_family(7, 4, 2, (1, 2, 3))
+    out.append(g.SubspaceFamily(4, (g.Subspace.zero(4), *drawn.members)))
+    out.append(g.load_family(load_fixture("three_lines_plane.json")))
+    return out
+
+
+def test_lattice_bases_equal_the_one_mask_functions_bit_for_bit():
+    for fam in lattice_families():
+        lattice = build_lattice(fam)
+        masks = sorted(range(1 << (fam.n + 1)), key=lambda m: (m.bit_count(), m))
+        assert list(lattice.h_lower) == masks
+        assert list(lattice.h_upper) == masks
+        for mask in masks:
+            assert np.array_equal(lattice.h_lower[mask].basis, h_tau(fam, mask).basis)
+            one = h_sup_tau(fam, mask, lattice.h_lower)
+            assert np.array_equal(lattice.h_upper[mask].basis, one.basis)
+
+
+def reference_verify(lattice, mask, tol=1e-7):
+    """The verifier with every submask's H^eta stacked, zero-width ones too."""
+    target = lattice.h_lower[mask]
+    submasks = [*proper_submasks(mask), mask]
+    stacked = np.hstack([lattice.h_upper[sub].basis for sub in submasks])
+    total = stacked.shape[1]
+    if total == 0:
+        return DecompositionReport(
+            indices_of(mask), target.dim == 0, target.dim, 0, None, None, tol
+        )
+    spec = sym_eigs(stacked.T @ stacked, want_vectors=True)
+    smallest = float(np.sqrt(max(spec.eigenvalues[0], 0.0)))
+    residual = 0.0
+    if target.dim > 0:
+        keep = spec.eigenvalues > tol * tol
+        vecs = spec.eigenvectors[:, keep]
+        inv = vecs @ np.diag(1.0 / spec.eigenvalues[keep]) @ vecs.T
+        resid = stacked @ (inv @ (stacked.T @ target.basis)) - target.basis
+        residual = float(np.max(np.sqrt(np.sum(resid * resid, axis=0))))
+    holds = total == target.dim and smallest > tol and residual <= tol
+    return DecompositionReport(
+        indices_of(mask), bool(holds), target.dim, total, smallest, residual, tol
+    )
+
+
+def test_verify_equals_the_reference_that_stacks_every_submask():
+    verdicts = set()
+    for fam in lattice_families():
+        lattice = build_lattice(fam)
+        for mask in range(1 << (fam.n + 1)):
+            report = verify_decomposition(lattice, mask)
+            assert report == reference_verify(lattice, mask)
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_build_lattice_makes_one_intersection_per_index_set(monkeypatch, n):
+    calls = []
+    real = decomposition.intersect
+
+    def counted(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(decomposition, "intersect", counted)
+    build_lattice(random_family(n, n + 1, n, [n] * (n + 1)))
+    # every index set with at least two indices outside it
+    assert len(calls) == 2 ** (n + 1) - n - 2
 
 
 _rows = st.lists(st.lists(json_scalars, min_size=1, max_size=3), max_size=3)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import garland as g
+from garland import linalg
 from garland.errors import ValidationError
 from garland.linalg import (
     as_symmetric,
@@ -164,6 +165,18 @@ def test_classify_definiteness_hand_cases():
     assert psd.corank == 1
     assert classify_definiteness(np.diag([1.0, -1.0])).kind == "indefinite"
     assert classify_definiteness(np.zeros((3, 3))).corank == 3
+
+
+def test_classify_definiteness_validates_once(monkeypatch):
+    calls = []
+
+    def counted(matrix, tol=linalg.SYMMETRY_TOL):
+        calls.append(1)
+        return as_symmetric(matrix, tol)
+
+    monkeypatch.setattr(linalg, "as_symmetric", counted)
+    assert classify_definiteness([[2.0, -1.0], [-1.0, 2.0]]).is_positive_definite
+    assert len(calls) == 1
 
 
 def test_classify_definiteness_agrees_with_cholesky():
