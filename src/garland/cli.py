@@ -8,6 +8,7 @@ order excluded by Feit-Higman).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built on first use and shared by every main() call in the process: parsing
+# fills a fresh namespace and leaves no state on the parser, but every caller
+# gets the same object, so none may add arguments or change defaults on it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="garland", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

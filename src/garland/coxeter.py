@@ -126,21 +126,48 @@ def coxeter_cosine(cox: CoxeterMatrix) -> CosineMatrix:
 
 
 def classify_coxeter(cox: CoxeterMatrix) -> str:
-    """Classify as spherical, affine, or other, from the cosine matrix spectrum.
+    """Classify as spherical, affine, or other, one Coxeter graph component
+    at a time (the graph joins i and j when m[i][j] != 2).
 
-    Spherical means positive definite.  Affine means positive semidefinite of
-    corank 1 with every proper principal submatrix positive definite, which
-    rules reducible semidefinite tables out.  Everything else is other.
+    A component of rank 1 is spherical, and one of rank 2 is spherical for a
+    finite order and affine for an infinite one; the dihedral smallest
+    eigenvalue 1 - cos(pi/m) falls under any zero tolerance for large m, so
+    rank 2 is not decided from the spectrum.  A larger component is spherical
+    when its cosine matrix is positive definite, and affine when it is
+    positive semidefinite of corank 1 with every proper principal submatrix
+    positive definite.  The system is spherical when every component is,
+    affine when it is a single affine component, and other otherwise.
     """
     c = coxeter_cosine(cox).matrix
-    cls = classify_definiteness(c)
+    labels = []
+    seen: set[int] = set()
+    for start in range(cox.rank):
+        if start in seen:
+            continue
+        component = sorted(bfs_distances(
+            start, lambda i: [j for j in range(cox.rank) if cox.m[i][j] not in (1, 2)]
+        ))
+        seen.update(component)
+        labels.append(_classify_component(cox, c, component))
+    if all(label == "spherical" for label in labels):
+        return "spherical"
+    return "affine" if labels == ["affine"] else "other"
+
+
+def _classify_component(cox: CoxeterMatrix, c: np.ndarray, component: list[int]) -> str:
+    if len(component) == 1:
+        return "spherical"
+    if len(component) == 2:
+        i, j = component
+        return "affine" if cox.m[i][j] == math.inf else "spherical"
+    sub = c[np.ix_(component, component)]
+    cls = classify_definiteness(sub)
     if cls.is_positive_definite:
         return "spherical"
     if cls.is_positive_semidefinite and cls.corank == 1:
-        for drop in range(cox.rank):
-            keep = [i for i in range(cox.rank) if i != drop]
-            sub = c[np.ix_(keep, keep)]
-            if not classify_definiteness(sub).is_positive_definite:
+        for drop in range(len(component)):
+            keep = [k for k in range(len(component)) if k != drop]
+            if not classify_definiteness(sub[np.ix_(keep, keep)]).is_positive_definite:
                 return "other"
         return "affine"
     return "other"

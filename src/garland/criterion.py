@@ -87,14 +87,38 @@ def min_thickness(c: CosineMatrix | np.ndarray) -> int:
     """Smallest q >= 2 whose threshold lies strictly below the smallest eigenvalue.
 
     Exists for every input since the threshold decreases without bound; any
-    positive semidefinite cosine matrix already passes at q = 2.
+    positive semidefinite cosine matrix already passes at q = 2.  The search
+    starts at the closed-form root: with a = 1 - mu, the threshold equals mu
+    at sqrt(q) = a + sqrt(a^2 - 1).  It then settles with the strict test
+    itself, galloping out from there until a failing q sits just below a
+    passing one and bisecting between them, so its work grows like log q.
     """
     matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
     smallest = float(sym_eigs(matrix).eigenvalues[0])
-    q = 2
-    while smallest <= threshold(q):
-        q += 1
-    return q
+
+    def passes(q: int) -> bool:
+        return smallest > threshold(q)
+
+    a = 1.0 - smallest
+    root = a + math.sqrt((a - 1.0) * (a + 1.0)) if a > 1.0 else 1.0
+    q0 = root * root
+    if math.isinf(q0):
+        raise ValidationError("q is beyond the float range")
+    # `above` always passes; `below` fails, or is 1, under the smallest q allowed
+    above = max(2, math.floor(q0))
+    below, step = above - 1, 1
+    while not passes(above):
+        below, above, step = above, above + step, 2 * step
+    step = 1
+    while below >= 2 and passes(below):
+        above, below, step = below, max(1, below - step), 2 * step
+    while above - below > 1:
+        mid = (above + below) // 2
+        if passes(mid):
+            above = mid
+        else:
+            below = mid
+    return above
 
 
 @dataclass(frozen=True)

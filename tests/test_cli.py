@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from garland.cli import main
+from garland.cli import build_parser, main
 from garland.decomposition import MAX_FAMILY_N
 
 from conftest import fixture_path
@@ -222,6 +222,22 @@ def test_subprocess_exit_codes():
     assert subprocess_stdout(
         ["decompose", "--input", fixture_path("doubled_plane.json")]
     )[0] == 0
+
+
+def test_shared_parser_leaks_no_state(capsys):
+    assert build_parser() is build_parser()
+    a3 = ["analyze-coxeter", "--input", fixture_path("a3.json")]
+    run_json(capsys, [*a3, "--thickness", "4", "--min-thickness"])
+    assert main(["analyze-coxeter"]) == 1
+    assert capsys.readouterr().err.startswith("usage: garland analyze-coxeter")
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(a3) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == subprocess_stdout(a3)[1]
+    options = json.loads(out)["options"]
+    assert options["thickness"] is None
+    assert options["min-thickness"] is False
 
 
 COMPLEX_OK = '"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}], "facets": [[0, 1]]'

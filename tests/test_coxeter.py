@@ -71,6 +71,33 @@ def test_classification():
     assert g.classify_coxeter(cox_of("hyperbolic_rank4.json")) == "other"
 
 
+def table(m):
+    return g.CoxeterMatrix(rank=len(m), m=tuple(tuple(row) for row in m))
+
+
+def dihedral(order):
+    return [[1, order], [order, 1]]
+
+
+def with_a1(rank2):
+    """The rank-2 system rank2 beside a commuting A1."""
+    return [rank2[0] + [2], rank2[1] + [2], [2, 2, 1]]
+
+
+@pytest.mark.parametrize("system, label", [
+    # the smallest eigenvalue 1 - cos(pi/m) is under the zero tolerance here
+    (dihedral(10**5), "spherical"),
+    (dihedral(10**8), "spherical"),
+    (with_a1(dihedral(10**5)), "spherical"),
+    (dihedral(math.inf), "affine"),
+    (with_a1(dihedral(math.inf)), "other"),
+    ([[1]], "spherical"),
+    ([[1, 2], [2, 1]], "spherical"),
+])
+def test_classification_by_component(system, label):
+    assert g.classify_coxeter(table(system)) == label
+
+
 def test_generators_satisfy_relations():
     for name in ("a2.json", "b3.json", "h3.json"):
         cox = cox_of(name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def test_min_thickness():
     assert g.min_thickness(g.coxeter_cosine(cox_of("hyperbolic_rank4.json"))) == 4
     assert g.min_thickness(g.coxeter_cosine(cox_of("a2.json"))) == 2
     assert g.min_thickness(g.coxeter_cosine(cox_of("affine_a2.json"))) == 2
+
+
+def linear_min_thickness(mu):
+    q = 2
+    while mu <= g.threshold(q):
+        q += 1
+    return q
+
+
+def test_min_thickness_matches_the_linear_search():
+    at_thresholds = [g.threshold(q) for q in range(2, 51)]
+    mus = [*np.linspace(-30.0, 1.5, 1001), *at_thresholds]
+    mus += [np.nextafter(t, side) for t in at_thresholds for side in (-np.inf, np.inf)]
+    for mu in mus:
+        assert g.min_thickness(np.array([[mu]])) == linear_min_thickness(mu), mu
+
+
+def test_min_thickness_work_grows_like_log_q():
+    g.min_thickness(np.array([[0.0]]))  # first-call costs stay out of the timing
+    start = time.perf_counter()
+    q = g.min_thickness(np.array([[-1e6]]))
+    assert time.perf_counter() - start < 0.01
+    assert g.threshold(q) < -1e6 <= g.threshold(q - 1)
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        g.min_thickness(np.array([[-1e160]]))
 
 
 def test_vanishing_report_fields():
