@@ -62,7 +62,6 @@ from .subspaces import (
     intersect,
     kassabov_delta,
     kassabov_reduced,
-    project,
     residual_complement,
     spherical_face_family,
 )

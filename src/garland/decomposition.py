@@ -31,15 +31,15 @@ from .linalg import orthonormalize, sym_eigs
 from .subspaces import Subspace, SubspaceFamily, intersect, residual_complement
 
 # the lattice has 2^(n+1) index sets.  Building it and verifying every index
-# set takes 0.3-0.4 s at n = 13 for n+1 lines or planes of R^(n+1), about
+# set takes 0.36-0.41 s at n = 13 for n+1 lines or planes of R^(n+1), about
 # twice as long per step of n, on a 2-CPU machine.  Families whose H_tau are
-# all nonzero cost about four times more per step: n+1 hyperplanes of
-# R^(n+1) take 0.7-1.0 s at n = 7 and 2.8-3.3 s at n = 8, so the cap does
-# not bound their work
+# all nonzero cost about three times more per step: n+1 hyperplanes of
+# R^(n+1) take 0.10-0.17 s at n = 7, 0.25-0.29 s at n = 8 and 5.9 s at
+# n = 11, so the cap does not bound their work
 MAX_FAMILY_N = 13
-# the work grows about as ambient_dim^3: three random planes in R^1024 take
-# about 6 s to build and verify, and the identity matrix of the full space
-# alone needs 8 * ambient_dim^2 bytes
+# the work grows about as ambient_dim^3: three random planes in R^512 take
+# 0.19 s to build and verify and in R^1024 1.1-1.2 s, and the identity
+# matrix of the full space alone needs 8 * ambient_dim^2 bytes
 MAX_AMBIENT_DIM = 1024
 VERIFY_TOL = 1e-7
 

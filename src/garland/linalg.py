@@ -1,11 +1,13 @@
-"""Symmetric eigenproblems and small-matrix utilities.
+"""Symmetric eigenproblems, orthonormal spans and small-matrix utilities.
 
 Everything downstream funnels through `sym_eigs`, the one eigensolver seam:
 it validates symmetry, then calls LAPACK's symmetric solvers through
 `numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
 and eigenvectors orthonormal to working precision (Golub and Van Loan,
 Matrix Computations, sections 8.3 and 8.5).  `classify_definiteness`
-validates its matrix once and makes the same LAPACK call.
+validates its matrix once and makes the same LAPACK call.  Spans come from
+`orthonormalize`, which cuts the rank of a LAPACK singular value
+decomposition (section 8.6); no other module calls `numpy.linalg` for them.
 """
 
 from __future__ import annotations
@@ -146,12 +148,13 @@ def orthonormalize(
     rank_tol: float | None = None,
     ambient_dim: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Orthonormalize a list of row vectors by modified Gram-Schmidt.
+    """Orthonormal basis of the span of a list of row vectors, by SVD.
 
-    Each vector is orthogonalized against the basis found so far, twice, and
-    kept only if its residual norm exceeds `rank_tol` (default: 1e-8 times
-    the largest input vector norm).  Returns `(basis, rank)` where `basis`
-    has orthonormal columns, shape `(ambient_dim, rank)`.
+    The basis is the left singular vectors of the matrix whose columns are
+    the vectors, keeping those whose singular value exceeds `rank_tol`
+    (default: 1e-8 times the largest input vector norm).  Returns
+    `(basis, rank)` where `basis` has orthonormal columns, shape
+    `(ambient_dim, rank)`.
 
     An empty vector list is legal and yields rank 0, but then `ambient_dim`
     must be supplied since it cannot be inferred.  Entries must be finite,
@@ -185,15 +188,6 @@ def orthonormalize(
         raise ValidationError(f"the norm of vector {overflow[0]} overflows the float range")
     if rank_tol is None:
         rank_tol = 1e-8 * float(np.max(norms))
-    basis: list[np.ndarray] = []
-    for row in arr:
-        w = row.copy()
-        for _ in range(2):  # second pass mops up cancellation error
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm > rank_tol:
-            basis.append(w / nrm)
-    if not basis:
-        return np.zeros((d, 0)), 0
-    return np.column_stack(basis), len(basis)
+    left, singular, _ = np.linalg.svd(arr.T, full_matrices=False)
+    rank = int(np.count_nonzero(singular > rank_tol))
+    return left[:, :rank], rank

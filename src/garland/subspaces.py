@@ -4,6 +4,12 @@ Subspaces carry orthonormal column bases.  The angle between two subspaces is
 0 when one contains the other and otherwise the largest correlation between
 unit vectors taken orthogonally to the intersection; families of subspaces
 get a cosine matrix with unit diagonal and -cos(angle) off the diagonal.
+
+Both the intersection and the angle read the principal cosines of U and V,
+the singular values of B_U^T B_V (Bjorck and Golub, Math. Comp. 27, 1973;
+Golub and Van Loan, Matrix Computations, section 6.4.3): the principal
+vectors whose cosine is within `INTERSECT_TOL` of 1 span the intersection,
+and the angle cosine is the largest principal cosine below that cut.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors, rank_tol: float | None = None) -> "Subspace":
-        """Build the span of arbitrary vectors (rows); empty list gives the zero subspace."""
+        """Build the span of arbitrary vectors (rows) from their SVD, cutting
+        the rank at `rank_tol` as `orthonormalize` does; an empty list gives
+        the zero subspace."""
         basis, _ = orthonormalize(vectors, rank_tol=rank_tol, ambient_dim=ambient_dim)
         return cls(ambient_dim, basis)
 
@@ -122,40 +130,29 @@ class CosineMatrix:
         return float(sym_eigs(self.matrix).eigenvalues[0])
 
 
-def project(v, u: Subspace) -> np.ndarray:
-    """Orthogonal projection of a vector onto a subspace."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (u.ambient_dim,):
-        raise DimensionMismatchError(
-            f"vector has shape {vec.shape}, expected ({u.ambient_dim},)"
-        )
-    if u.dim == 0:
-        return np.zeros(u.ambient_dim)
-    return u.basis @ (u.basis.T @ vec)
+def _principal_cosines(u: Subspace, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """Squared principal cosines of U against V, ascending, one per basis
+    vector of U, with the matching U-side principal vectors as columns."""
+    cross = u.basis.T @ v.basis
+    spec = sym_eigs(cross @ cross.T, want_vectors=True)
+    return spec.eigenvalues, u.basis @ spec.eigenvectors
 
 
 def intersect(u: Subspace, v: Subspace, tol: float = INTERSECT_TOL) -> Subspace:
     """Intersection of two subspaces.
 
-    Null vectors of the Gram matrix of the stacked bases [B_U | -B_V] give
-    coefficient pairs (a, b) with B_U a = B_V b; the resulting vectors span
-    the intersection.  Gram eigenvalues at or below `tol` count as null.
+    Spanned by the principal vectors of U whose principal cosine against V
+    is at least 1 - `tol`.  This is the cut `angle_cos` applies with the
+    default `tol`.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-    d = u.ambient_dim
     if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(d)
-    stacked = np.hstack([u.basis, -v.basis])
-    gram = stacked.T @ stacked
-    spec = sym_eigs(gram, want_vectors=True)
-    null = spec.eigenvectors[:, spec.eigenvalues <= tol]
-    if null.shape[1] == 0:
-        return Subspace.zero(d)
-    vectors = (u.basis @ null[: u.dim, :]).T
-    return Subspace.from_spanning(d, vectors)
+        return Subspace.zero(u.ambient_dim)
+    cos2, vectors = _principal_cosines(u, v)
+    return Subspace(u.ambient_dim, vectors[:, cos2 >= (1.0 - tol) ** 2])
 
 
 def residual_complement(h: Subspace, u: Subspace) -> Subspace:
@@ -163,7 +160,7 @@ def residual_complement(h: Subspace, u: Subspace) -> Subspace:
 
     Agrees with complement_within when U really is contained in H, but never
     raises on marginal geometry (it simply returns the residual span), which
-    is what the angle and lattice computations need on near-degenerate input.
+    is what the lattice computations need on near-degenerate input.
     """
     if u.dim == 0:
         return h
@@ -193,27 +190,24 @@ def complement_within(h: Subspace, u: Subspace) -> Subspace:
 def angle_cos(u: Subspace, v: Subspace) -> float:
     """Cosine of the angle between two subspaces, in [0, 1].
 
-    0 when one subspace contains the other (the zero subspace is contained in
-    everything).  Otherwise both subspaces are reduced orthogonally to their
-    intersection and the largest singular value of the cross-Gram of the
-    reduced bases is returned, clamped to [0, 1].
+    The largest principal cosine of U and V below the cut of `intersect`,
+    1 - `INTERSECT_TOL`, so the shared directions are removed first; 0 when
+    there is none, in particular when one subspace contains the other (the
+    zero subspace is contained in everything).  The cosines are read from
+    the cross-Gram on the side of the smaller subspace, so swapping two
+    arguments of different dimensions gives the same bits.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-    if u.contains(v) or v.contains(u):
+    if u.dim > v.dim:
+        u, v = v, u
+    if u.dim == 0:
         return 0.0
-    w = intersect(u, v)
-    uc = residual_complement(u, w)
-    vc = residual_complement(v, w)
-    if uc.dim == 0 or vc.dim == 0:
-        # near-containment that slipped past the tolerance checks above
-        return 0.0
-    cross = uc.basis.T @ vc.basis
-    small = cross @ cross.T if cross.shape[0] <= cross.shape[1] else cross.T @ cross
-    top = float(sym_eigs(small).eigenvalues[-1])
-    return min(1.0, math.sqrt(max(top, 0.0)))
+    cos2, _ = _principal_cosines(u, v)
+    below = cos2[cos2 < (1.0 - INTERSECT_TOL) ** 2]
+    return math.sqrt(max(float(below[-1]), 0.0)) if below.size else 0.0
 
 
 def cosine_matrix_of_family(family: SubspaceFamily) -> CosineMatrix:

@@ -75,8 +75,8 @@ def test_sym_eigs_cycle_walk_closed_form(length):
 
 def test_intersect_recovers_a_shared_plane():
     # for orthonormal q, U = span(q0, q1, q2) and V = span(q0, q1, q3) share
-    # the plane span(q0, q1): the Gram null space that intersect reads from
-    # the eigenvectors is 2-dimensional, and a random q keeps it off the axes
+    # the plane span(q0, q1): two principal cosines of U against V are 1,
+    # and a random q keeps their principal vectors off the axes
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     u = g.Subspace.from_spanning(4, (q[:, [0, 1, 2]] @ rng.standard_normal((3, 3))).T)

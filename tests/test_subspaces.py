@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import garland as g
+from garland import subspaces
 from garland.complexes import _number_table
 from garland.errors import (
     DimensionMismatchError,
@@ -23,7 +24,7 @@ from garland.errors import (
     ValidationError,
 )
 from garland.linalg import max_abs
-from garland.subspaces import residual_complement
+from garland.subspaces import INTERSECT_TOL, residual_complement
 
 from conftest import intersecting_family, json_scalars, json_values
 
@@ -90,12 +91,6 @@ def test_intersect_generic_dimension_count():
     assert g.intersect(u, v).dim == 2
 
 
-def test_project():
-    plane = g.Subspace.from_spanning(3, [[1.0, 0, 0], [0, 1.0, 0]])
-    p = g.project(np.array([1.0, 2.0, 3.0]), plane)
-    assert np.allclose(p, [1.0, 2.0, 0.0], atol=1e-14)
-
-
 def test_angle_cos_hand_values():
     line1 = g.Subspace.from_spanning(3, [[1.0, 0.0, 0.0]])
     line2 = g.Subspace.from_spanning(3, [[1.0, 1.0, 0.0]])
@@ -145,6 +140,47 @@ def test_angle_cos_symmetric():
         u = g.Subspace.from_spanning(6, rng.standard_normal((3, 6)))
         v = g.Subspace.from_spanning(6, rng.standard_normal((2, 6)))
         assert g.angle_cos(u, v) == g.angle_cos(v, u)
+
+
+@pytest.mark.parametrize("gap, shared", [(0.5, True), (2.0, False)])
+def test_intersect_and_angle_cos_share_one_cut(gap, shared):
+    # V tilts e1 toward e3 by t with 1 - cos t = gap * INTERSECT_TOL: below
+    # the cut the tilted direction is shared, above it it is the angle
+    c = 1.0 - gap * INTERSECT_TOL
+    e = np.eye(4)
+    u = g.Subspace.from_spanning(4, [e[0], e[1]])
+    v = g.Subspace.from_spanning(4, [c * e[0] + math.sqrt(1.0 - c * c) * e[2], e[3]])
+    for a, b in ((u, v), (v, u)):
+        assert g.intersect(a, b).dim == (1 if shared else 0)
+        if shared:
+            assert g.angle_cos(a, b) == 0.0
+        else:
+            assert abs(g.angle_cos(a, b) - c) <= 1e-12
+
+
+def test_intersect_and_angle_cos_make_one_eigensolve(monkeypatch):
+    calls = []
+    real = subspaces.sym_eigs
+
+    def counted(matrix, want_vectors=False):
+        calls.append(1)
+        return real(matrix, want_vectors)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("intersect and angle_cos read the principal cosines only")
+
+    monkeypatch.setattr(subspaces, "sym_eigs", counted)
+    for name in ("residual_complement", "orthonormalize"):
+        monkeypatch.setattr(subspaces, name, refused)
+    monkeypatch.setattr(g.Subspace, "contains", refused)
+    monkeypatch.setattr(g.Subspace, "from_spanning", refused)
+    t = 0.3
+    u = g.Subspace(3, np.eye(3)[:, :2])
+    v = g.Subspace(3, np.array([[1.0, 0.0], [0.0, math.cos(t)], [0.0, math.sin(t)]]))
+    assert g.intersect(u, v).dim == 1
+    assert len(calls) == 1
+    assert abs(g.angle_cos(u, v) - math.cos(t)) <= 1e-12
+    assert len(calls) == 2
 
 
 def test_complement_within():
