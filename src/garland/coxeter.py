@@ -9,8 +9,11 @@ A finite W permutes its finite root system, the orbit of the simple roots
 e_0, ..., e_{r-1}, faithfully.  The roots are generated once, in floating
 point, with every match checked against the smallest distance between two
 roots; from then on each element is a row of integer root indices, so
-composition and deduplication are exact.  The enumerated chambers assemble
-into the associated partite simplicial complex via maximal-parabolic cosets.
+composition and deduplication are exact.  The group is closed one length
+layer at a time, with numpy arrays for the elements, the generator
+adjacency and the Coxeter lengths.  The enumerated chambers assemble into
+the associated partite simplicial complex via maximal-parabolic cosets,
+each labelled by its smallest element.
 """
 
 from __future__ import annotations
@@ -265,23 +268,28 @@ def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumeratedGroup:
     """Group elements as rows of root indices, with per-generator adjacency.
 
-    `elements[i][j]` is the index, in `root_system(...).vectors`, of the image
-    of simple root j under element i.  The simple roots are a basis, so the
-    row fixes the element and its whole root permutation, and two elements
-    are equal exactly when their integer rows are.  `adjacency[i][s] = j`
-    means element j is s composed with element i.  Element i is the inverse
-    of the i-th element that the closure by right multiplication w -> w s
-    finds, so `adjacency` is the same table either way.  The two root
-    margins are those of `RootSystem`.
+    `elements` is an (order, rank) integer array: `elements[i, j]` is the
+    index, in `root_system(...).vectors`, of the image of simple root j under
+    element i.  The simple roots are a basis, so the row fixes the element and
+    its whole root permutation, and two elements are equal exactly when their
+    integer rows are.  `adjacency` is an (order, rank) integer array, and
+    `adjacency[i, s] = j` means element j is s composed with element i.
+    Element i is the inverse of the i-th element that the closure by right
+    multiplication w -> w s finds, so `adjacency` is the same table either
+    way.  `lengths[i]` is the Coxeter length of element i, its distance from
+    the identity in the adjacency graph; elements are numbered in
+    breadth-first order, so `lengths` never decreases.  The three arrays are
+    read-only.  The two root margins are those of `RootSystem`.
     """
 
     rank: int
-    elements: tuple[bytes, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    elements: np.ndarray
+    adjacency: np.ndarray
+    lengths: np.ndarray
     root_match_distance: float
     root_separation: float
 
@@ -291,50 +299,74 @@ class EnumeratedGroup:
 
 
 def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> EnumeratedGroup:
-    """Breadth-first closure of the generators acting on the root system.
+    """Breadth-first closure of the generators acting on the root system,
+    one length layer at a time.
 
     W acts faithfully on its finite root system (Humphreys, Reflection Groups
     and Coxeter Groups, section 5.4), so composition is exact on root
-    indices: the row of s w is `row.translate(table_s)`, and deduplication
-    is a dict lookup on the row.  Raises when the roots do not close within
-    `cap`, and, for a finite group, when more than `cap` elements appear or
-    there are more roots than a byte can index.
+    indices: the row of s w is `perms[s][row]`.  Breadth-first distance from
+    the identity is the Coxeter length, and an image s w of an element w of
+    length k lies in layer k - 1, k or k + 1, so it is either a row of the
+    two layers already known or a new element of length k + 1.
+    All images of a layer are formed at once, in the order element then
+    generator, and stacked under the known rows; one stable lexsort of the
+    stack puts equal rows next to each other, known rows first.  A run of
+    equal rows that holds no known row is a new element, and new elements
+    are numbered by their first position in the stack, which is the order in
+    which a one-at-a-time queue would meet them.  Rows are compared whole, as
+    integers, so deduplication involves no floats and no hashing.  Raises
+    when the roots do not close within `cap`, and, for a finite group, when
+    more than `cap` elements appear; the cap is checked after each layer, so
+    no layer sorts more than rank * cap images.
     """
     roots = root_system(cox, cap=cap)
     count = len(roots.vectors)
-    if count > 256:
-        raise GroupEnumerationError(
-            f"group is finite but not enumerated: its {count} roots are more than "
-            "the 256 a byte row can index"
-        )
     r = cox.rank
-    tables = [bytes(perm) + bytes(256 - count) for perm in roots.permutations]
-    identity = bytes(range(r))
-    elements = [identity]
-    index = {identity: 0}
-    # first in, first out: `elements` is the breadth-first queue, and element
-    # i's neighbor under s lands at i * r + s of this flat list
-    adjacency: list[int] = []
-    for row in elements:
-        for table in tables:
-            image = row.translate(table)
-            nxt = index.get(image)
-            if nxt is None:
-                if len(elements) >= cap:
-                    raise GroupEnumerationError(
-                        f"group is finite but has more than {cap} elements "
-                        f"(its {count} roots close); raise the cap"
-                    )
-                nxt = len(elements)
-                elements.append(image)
-                index[image] = nxt
-            adjacency.append(nxt)
+    # the narrowest unsigned type that holds a root index: numpy sorts 8- and
+    # 16-bit keys by radix, several times faster than wider ones
+    dtype = np.min_scalar_type(count - 1)
+    perms = np.array(roots.permutations, dtype=dtype)
+    previous = np.empty((0, r), dtype=dtype)
+    layer = np.arange(r, dtype=dtype)[None, :]
+    layers = [layer]
+    adjacency = []
+    first = 0  # index of the first element of `layer`
+    while len(layer):
+        known = np.concatenate([previous, layer])
+        images = np.swapaxes(perms[:, layer], 0, 1).reshape(-1, r)
+        rows = np.concatenate([known, images])
+        order = np.lexsort(rows.T)
+        ordered = rows[order]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        group_of = np.empty(len(rows), dtype=np.intp)
+        group_of[order] = np.cumsum(starts) - 1
+        # the sort is stable, so a group's first row is its first in `rows`
+        leader = order[starts]
+        # row p of `known` is element first - len(previous) + p
+        index = leader + (first - len(previous))
+        fresh = np.flatnonzero(leader >= len(known))
+        fresh = fresh[np.argsort(leader[fresh])]
+        following = first + len(layer)
+        index[fresh] = following + np.arange(len(fresh))
+        if following + len(fresh) > cap:
+            raise GroupEnumerationError(
+                f"group is finite but has more than {cap} elements "
+                f"(its {count} roots close); raise the cap"
+            )
+        adjacency.append(index[group_of[len(known):]].reshape(-1, r))
+        previous, layer, first = layer, rows[leader[fresh]], following
+        layers.append(layer)
+    elements = np.concatenate(layers)
+    lengths = np.repeat(np.arange(len(layers)), list(map(len, layers)))
+    adjacency = np.concatenate(adjacency)
+    for array in (elements, adjacency, lengths):
+        array.flags.writeable = False
     return EnumeratedGroup(
         rank=r,
-        elements=tuple(elements),
-        adjacency=tuple(
-            tuple(adjacency[i : i + r]) for i in range(0, len(adjacency), r)
-        ),
+        elements=elements,
+        adjacency=adjacency,
+        lengths=lengths,
         root_match_distance=roots.match_distance,
         root_separation=roots.separation,
     )
@@ -351,28 +383,31 @@ class CoxeterComplex:
 
 def build_coxeter_complex(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> CoxeterComplex:
     """Assemble the partite complex whose type-i vertices are cosets of the
-    parabolic subgroup generated by all reflections except s_i."""
+    parabolic subgroup generated by all reflections except s_i.
+
+    Each element's coset is labelled by its smallest element, found by
+    propagating the minimum label along the kept generators until it
+    settles.  Vertex ids run through the types in order, and within a type
+    in order of each coset's smallest element.
+    """
     group = enumerate_group(cox, cap=cap)
     r = cox.rank
-    count = group.order
-    adjacency = group.adjacency
     vertex_types: dict[int, int] = {}
-    coset_of: list[list[int]] = []
-    next_id = 0
+    coset_of = np.empty((group.order, r), dtype=np.intp)
     for omitted in range(r):
-        kept = [s for s in range(r) if s != omitted]
-        label = [-1] * count
-        for start in range(count):
-            if label[start] != -1:
-                continue
-            for w in bfs_distances(start, lambda w: [adjacency[w][s] for s in kept]):
-                label[w] = next_id
-            vertex_types[next_id] = omitted
-            next_id += 1
-        coset_of.append(label)
-    facets = tuple(
-        frozenset(coset_of[i][w] for i in range(r)) for w in range(count)
-    )
+        kept = [group.adjacency[:, s] for s in range(r) if s != omitted]
+        label = np.arange(group.order)
+        settled = False
+        while not settled:
+            before = label
+            for step in kept:
+                label = np.minimum(label, label[step])
+            settled = np.array_equal(label, before)
+        smallest, coset = np.unique(label, return_inverse=True)
+        base = len(vertex_types)
+        coset_of[:, omitted] = base + coset
+        vertex_types.update((base + k, omitted) for k in range(len(smallest)))
+    facets = tuple(map(frozenset, coset_of.tolist()))
     return CoxeterComplex(
         matrix=cox,
         group=group,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import garland as g
 from garland import coxeter
+from garland.complexes import bfs_distances
 from garland.coxeter import (
     ROOT_MATCH_TOL,
     build_coxeter_complex,
@@ -145,9 +146,142 @@ def test_elements_are_distinct_rows_of_root_indices():
         cox = cox_of(name)
         group = g.enumerate_group(cox)
         roots = root_system(cox)
-        assert group.elements[0] == bytes(range(cox.rank))
-        assert len(set(group.elements)) == group.order
-        assert all(max(row) < len(roots.vectors) for row in group.elements)
+        assert np.array_equal(group.elements[0], np.arange(cox.rank))
+        assert len(np.unique(group.elements, axis=0)) == group.order
+        assert group.elements.max() < len(roots.vectors)
+        for array in (group.elements, group.adjacency, group.lengths):
+            assert len(array) == group.order
+            assert not array.flags.writeable
+
+
+def reference_closure(cox, cap=coxeter.DEFAULT_GROUP_CAP):
+    """The one-at-a-time closure: a breadth-first queue of byte rows, composed
+    by `bytes.translate` and deduplicated by a dict (at most 256 roots)."""
+    roots = root_system(cox, cap=cap)
+    count = len(roots.vectors)
+    tables = [bytes(perm) + bytes(256 - count) for perm in roots.permutations]
+    identity = bytes(range(cox.rank))
+    elements = [identity]
+    index = {identity: 0}
+    adjacency = []
+    for row in elements:
+        adjacency.append([])
+        for table in tables:
+            image = row.translate(table)
+            nxt = index.get(image)
+            if nxt is None:
+                if len(elements) >= cap:
+                    raise GroupEnumerationError(
+                        f"group is finite but has more than {cap} elements "
+                        f"(its {count} roots close); raise the cap"
+                    )
+                nxt = len(elements)
+                elements.append(image)
+                index[image] = nxt
+            adjacency[-1].append(nxt)
+    return [list(row) for row in elements], adjacency
+
+
+def reference_cosets(adjacency, rank):
+    """Vertex types and facets by a breadth-first scan of each parabolic
+    coset, numbered in order of the scan."""
+    count = len(adjacency)
+    vertex_types = {}
+    coset_of = []
+    next_id = 0
+    for omitted in range(rank):
+        kept = [s for s in range(rank) if s != omitted]
+        label = [-1] * count
+        for start in range(count):
+            if label[start] != -1:
+                continue
+            for w in bfs_distances(start, lambda w: [adjacency[w][s] for s in kept]):
+                label[w] = next_id
+            vertex_types[next_id] = omitted
+            next_id += 1
+        coset_of.append(label)
+    facets = tuple(frozenset(coset_of[i][w] for i in range(rank)) for w in range(count))
+    return vertex_types, facets
+
+
+# Dynkin diagrams with the degrees of their basic invariants (Humphreys,
+# Reflection Groups and Coxeter Groups, section 3.7, Table 3.1) and a cap
+# at or above the order, the product of the degrees
+SPHERICAL = {
+    "A3": (dynkin(3, ((0, 1, 3), (1, 2, 3))), (2, 3, 4), 10_000),
+    "B3": (dynkin(3, ((0, 1, 4), (1, 2, 3))), (2, 4, 6), 10_000),
+    "H3": (dynkin(3, ((0, 1, 5), (1, 2, 3))), (2, 6, 10), 10_000),
+    "A4": (dynkin(4, ((0, 1, 3), (1, 2, 3), (2, 3, 3))), (2, 3, 4, 5), 10_000),
+    "D4": (dynkin(4, ((0, 1, 3), (1, 2, 3), (1, 3, 3))), (2, 4, 4, 6), 10_000),
+    "B4": (dynkin(4, ((0, 1, 4), (1, 2, 3), (2, 3, 3))), (2, 4, 6, 8), 10_000),
+    "F4": (dynkin(4, ((0, 1, 3), (1, 2, 4), (2, 3, 3))), (2, 6, 8, 12), 10_000),
+    "H4": (H4, (2, 12, 20, 30), 20_000),
+    "D5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3))), (2, 4, 5, 6, 8), 60_000),
+    "E6": (E6, (2, 5, 6, 8, 9, 12), 60_000),
+    "A1^10": (dynkin(10, ()), (2,) * 10, 10_000),  # rank above 8
+    "I2(5)": (dynkin(2, ((0, 1, 5),)), (2, 5), 10_000),
+}
+
+
+@pytest.mark.parametrize("name", list(SPHERICAL))
+def test_layered_closure_matches_the_reference(name):
+    cox, _, cap = SPHERICAL[name]
+    group = g.enumerate_group(cox, cap=cap)
+    elements, adjacency = reference_closure(cox, cap=cap)
+    assert group.elements.tolist() == elements
+    assert group.adjacency.tolist() == adjacency
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "D4", "B4", "F4", "H4"])
+def test_coset_labels_match_the_reference(name):
+    cox, _, cap = SPHERICAL[name]
+    built = build_coxeter_complex(cox, cap=cap)
+    vertex_types, facets = reference_cosets(built.group.adjacency.tolist(), cox.rank)
+    assert list(built.complex.vertex_types.items()) == list(vertex_types.items())
+    assert built.complex.facets == facets
+
+
+@pytest.mark.parametrize("name", list(SPHERICAL))
+def test_lengths_follow_the_poincare_polynomial(name):
+    cox, degrees, cap = SPHERICAL[name]
+    lengths = g.enumerate_group(cox, cap=cap).lengths
+    poincare = np.ones(1, dtype=np.int64)
+    for d in degrees:
+        poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+    assert np.array_equal(np.bincount(lengths), poincare)
+    assert np.all(np.diff(lengths) >= 0)
+    assert lengths.max() == sum(d - 1 for d in degrees)  # the positive roots
+
+
+@pytest.mark.parametrize("name", ["B3", "F4", "H4"])
+def test_cap_at_the_order(name):
+    cox, degrees, _ = SPHERICAL[name]
+    order = math.prod(degrees)
+    assert g.enumerate_group(cox, cap=order).order == order
+    roots = len(root_system(cox).vectors)
+    with pytest.raises(GroupEnumerationError) as info:
+        g.enumerate_group(cox, cap=order - 1)
+    assert str(info.value) == (
+        f"group is finite but has more than {order - 1} elements "
+        f"(its {roots} roots close); raise the cap"
+    )
+
+
+def test_cap_bounds_the_sorted_rows(monkeypatch):
+    sorted_rows = []
+    original = np.lexsort
+
+    def counting_lexsort(keys):
+        sorted_rows.append(len(keys[0]))
+        return original(keys)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    with pytest.raises(GroupEnumerationError, match="more than 1000 elements"):
+        g.enumerate_group(E6, cap=1000)
+    # each layer stacks at most 2 known layers and rank images per element,
+    # none of them past the cap, so E6's 51840 elements are never reached
+    assert max(sorted_rows) <= (6 + 2) * 1000
+    assert sum(sorted_rows) <= 2 * (6 + 2) * 1000
 
 
 def compose(p, q):
@@ -205,9 +339,14 @@ def test_finite_group_over_cap_says_finite():
     assert "10000 elements" in message and "120 roots" in message
 
 
-def test_more_roots_than_a_byte_row_holds():
-    with pytest.raises(GroupEnumerationError, match="258 roots"):
-        g.enumerate_group(g.CoxeterMatrix(rank=2, m=((1, 129), (129, 1))))
+def test_dihedral_group_past_256_roots():
+    cox = g.CoxeterMatrix(rank=2, m=((1, 129), (129, 1)))
+    assert len(root_system(cox).vectors) == 258
+    assert g.enumerate_group(cox).order == 258
+    check = coxeter_complex_cosine_check(cox)
+    assert check.link_checks[(0, 1)].observed_lengths == (258,)  # one 258-cycle
+    assert check.max_deviation <= 1e-12
+    assert check.links_ok
 
 
 def test_infinite_group_hits_cap():
