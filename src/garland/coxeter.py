@@ -81,9 +81,6 @@ class CoxeterMatrix:
                     raise ValidationError(f"m table is not symmetric at ({i},{j})")
         object.__setattr__(self, "m", tuple(normalized))
 
-    def entry(self, i: int, j: int):
-        return self.m[i][j]
-
 
 def load_coxeter_matrix(data) -> CoxeterMatrix:
     """Build a CoxeterMatrix from a dict with rank and m (null meaning inf)."""
@@ -251,10 +248,19 @@ def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
             permutations[s].append(nearest)
     count = len(vectors)
     vectors = np.array(vectors)
-    separation = min(
-        float(np.min(np.linalg.norm(vectors[i + 1:] - vectors[i], axis=1)))
-        for i in range(count - 1)
-    )
+    # closest pair, swept over offsets k in the order of length: no two roots
+    # are closer than their lengths differ, and the length gaps at offset
+    # k + 1 are at least those at offset k, so the sweep stops once the
+    # smallest gap reaches the best distance
+    order = [k for _, k in by_length]
+    lengths = np.array([length for length, _ in by_length])
+    ordered = vectors[order]
+    separation = math.inf
+    for k in range(1, count):
+        if float(np.min(lengths[k:] - lengths[:-k])) >= separation:
+            break
+        distances = np.linalg.norm(ordered[k:] - ordered[:-k], axis=1)
+        separation = min(separation, float(np.min(distances)))
     if separation < ROOT_SEPARATION_FACTOR * ROOT_MATCH_TOL:
         raise GroupEnumerationError(
             f"roots not well separated: two of the {count} roots lie {separation:.3g} "

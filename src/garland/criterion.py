@@ -153,11 +153,7 @@ class VanishingReport:
     notes: tuple[str, ...]
 
 
-def vanishing_report(
-    cox: CoxeterMatrix,
-    q: int,
-    building_dim_override: int | None = None,
-) -> VanishingReport:
+def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     """Evaluate the vanishing criterion for buildings of the given type.
 
     The report covers three template families over the intermediate degrees
@@ -167,7 +163,7 @@ def vanishing_report(
     proper link of the building is finite).
     """
     q = _check_q(q)
-    n = cox.rank - 1 if building_dim_override is None else int(building_dim_override)
+    n = cox.rank - 1
     if n < 2:
         raise CriterionInapplicableError(
             f"building dimension {n} is below 2; the criterion needs intermediate degrees"

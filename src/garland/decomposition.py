@@ -11,9 +11,15 @@ full space, an index set missing one index i gets V_i, and every other tau
 gets H_{tau + hi} cut with V_hi, hi being the highest index outside tau.
 That is one intersection for each index set with two or more indices
 outside it, and it repeats `h_tau`'s left-to-right intersections exactly, so
-both give the same bases bit for bit.  Zero spaces add no columns, so the
-component and the verifier stack only the nonzero H_eta and H^eta; the
-stacked matrices are the same as with every submask stacked.
+both give the same bases bit for bit.
+
+H_eta lies in H_{tau - i} whenever eta lies in tau - i, so the smaller H_eta
+together span what the |tau| maximal ones H_{tau - i} span, and only those
+are stacked for H^tau.  Each component and each check is one singular value
+decomposition (Golub and Van Loan, Matrix Computations, section 8.6): the
+component is the complement of that span in coordinates of H_tau, and the
+verifier reads the smallest singular value and the projection of H_tau off
+the stacked H^eta.
 
 Index sets are bitmasks; helpers accept any iterable of indices as well.
 """
@@ -27,18 +33,18 @@ import numpy as np
 
 from .complexes import _json_int, _number_table
 from .errors import InputFormatError, ValidationError
-from .linalg import orthonormalize, sym_eigs
-from .subspaces import Subspace, SubspaceFamily, intersect, residual_complement
+from .linalg import left_singular, orthonormalize
+from .subspaces import Subspace, SubspaceFamily, intersect
 
 # the lattice has 2^(n+1) index sets.  Building it and verifying every index
-# set takes 0.36-0.41 s at n = 13 for n+1 lines or planes of R^(n+1), about
-# twice as long per step of n, on a 2-CPU machine.  Families whose H_tau are
-# all nonzero cost about three times more per step: n+1 hyperplanes of
-# R^(n+1) take 0.10-0.17 s at n = 7, 0.25-0.29 s at n = 8 and 5.9 s at
-# n = 11, so the cap does not bound their work
+# set takes 0.17-0.40 s at n = 13 for n+1 lines or planes of R^(n+1), on a
+# 2-CPU machine.  Families whose H_tau are all nonzero cost about twice as
+# much per step of n: n+1 hyperplanes of R^(n+1) take 0.6-1.2 s at n = 11,
+# 1.4-2.4 s at n = 12 and 2.8-5.2 s at n = 13, so the cap bounds n, not the
+# work
 MAX_FAMILY_N = 13
 # the work grows about as ambient_dim^3: three random planes in R^512 take
-# 0.19 s to build and verify and in R^1024 1.1-1.2 s, and the identity
+# 0.11-0.17 s to build and verify and in R^1024 0.7-0.9 s, and the identity
 # matrix of the full space alone needs 8 * ambient_dim^2 bytes
 MAX_AMBIENT_DIM = 1024
 VERIFY_TOL = 1e-7
@@ -62,14 +68,6 @@ def as_mask(tau, n: int) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def proper_submasks(mask: int):
-    """All submasks of `mask` except `mask` itself, ascending (starts at 0)."""
-    sub = 0
-    while sub != mask:
-        yield sub
-        sub = (sub - mask) & mask
 
 
 @dataclass(frozen=True)
@@ -107,40 +105,32 @@ def h_tau(family: SubspaceFamily, tau) -> Subspace:
     return result
 
 
-def _component(family: SubspaceFamily, lower: Subspace, smaller) -> Subspace:
-    """The part of `lower` orthogonal to the spaces `smaller` (ascending
-    H_eta); `smaller` is not read when `lower` is zero."""
-    if lower.dim == 0:
-        return lower
-    columns = [sub.basis for sub in smaller if sub.dim]
-    if not columns:
-        return lower
-    stacked = np.hstack(columns)
-    projected = lower.basis @ (lower.basis.T @ stacked)
-    basis, _ = orthonormalize(projected.T, rank_tol=1e-8, ambient_dim=family.ambient_dim)
-    # residual_complement, not complement_within: near-degenerate families can
-    # make the rank bookkeeping marginal, and the verifier should report that
-    # as a failed decomposition rather than refuse to build the lattice
-    return residual_complement(lower, Subspace(family.ambient_dim, basis))
-
-
 def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) -> Subspace:
     """H^tau: the part of H_tau orthogonal to every H_eta with eta a proper subset.
 
-    `lattice_so_far` must already hold h_lower entries for tau and all of its
-    subsets.  The span of the smaller H_eta is projected into H_tau before
-    complementing, so marginal containment error cannot leak outside H_tau.
+    `lattice_so_far` must already hold h_lower entries for tau and for its
+    |tau| maximal proper subsets tau - i, whose spaces span every smaller
+    H_eta.  Their stack is projected into coordinates of H_tau, so marginal
+    containment error cannot leak outside it, and the complement of its
+    column space there, taken from the complete left singular factor, is
+    orthonormal by construction.
     """
     mask = as_mask(tau, family.n)
     lower = lattice_so_far[mask]
-    if mask == 0:
+    if lower.dim == 0:
         return lower
-    return _component(family, lower, [lattice_so_far[sub] for sub in proper_submasks(mask)])
+    maximal = [lattice_so_far[mask ^ 1 << i].basis for i in indices_of(mask)]
+    if not any(basis.shape[1] for basis in maximal):
+        return lower
+    left, singular = left_singular(lower.basis.T @ np.hstack(maximal), complete=True)
+    rank = int(np.count_nonzero(singular > 1e-8))
+    return Subspace(lower.ambient_dim, lower.basis @ left[:, rank:])
 
 
 def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
-    """Populate H_tau (top down, see the module docstring) and H^tau for
-    every subset; both are keyed in increasing cardinality order."""
+    """Populate H_tau (top down, see the module docstring) and H^tau (with
+    `h_sup_tau`) for every subset; both are keyed in increasing cardinality
+    order."""
     n = family.n
     if n > MAX_FAMILY_N:
         raise ValidationError(
@@ -160,15 +150,7 @@ def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
         else:
             top_down[mask] = intersect(top_down[mask | 1 << hi], family.members[hi])
     lower = {mask: top_down[mask] for mask in masks}
-    nonzero = [mask for mask in range(full + 1) if lower[mask].dim]
-    upper = {
-        mask: _component(
-            family,
-            lower[mask],
-            (lower[sub] for sub in nonzero if sub | mask == mask and sub != mask),
-        )
-        for mask in masks
-    }
+    upper = {mask: h_sup_tau(family, mask, lower) for mask in masks}
     return SubspaceLattice(family=family, h_lower=lower, h_upper=upper)
 
 
@@ -194,8 +176,11 @@ def verify_decomposition(
 
     (a) the component dimensions sum to dim H_tau, (b) the concatenated
     component bases have smallest singular value above `tol` (direct sum,
-    not necessarily orthogonal), and (c) solving the least-squares system
-    over those bases reproduces every basis vector of H_tau within `tol`.
+    not necessarily orthogonal), and (c) projecting every basis vector of
+    H_tau onto the left singular vectors whose singular value is above `tol`
+    reproduces it within `tol`.  Both are read from one thin SVD of the
+    stacked bases; a stack with more columns than rows has smallest singular
+    value 0.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be a positive finite number, got {tol}")
@@ -218,19 +203,14 @@ def verify_decomposition(
             tol=tol,
         )
     stacked = np.hstack(columns)
-    gram = stacked.T @ stacked
-    spec = sym_eigs(gram, want_vectors=True)
-    smallest_sv = float(np.sqrt(max(spec.eigenvalues[0], 0.0)))
+    left, singular = left_singular(stacked)
+    smallest_sv = float(singular[-1]) if total <= stacked.shape[0] else 0.0
     sv_ok = smallest_sv > tol
 
     max_residual = 0.0
     if target.dim > 0:
-        # least squares through the Gram eigendecomposition already in hand
-        keep = spec.eigenvalues > (tol * tol)
-        vecs = spec.eigenvectors[:, keep]
-        inv = vecs @ np.diag(1.0 / spec.eigenvalues[keep]) @ vecs.T
-        coeff = inv @ (stacked.T @ target.basis)
-        resid = stacked @ coeff - target.basis
+        span = left[:, singular > tol]
+        resid = target.basis - span @ (span.T @ target.basis)
         max_residual = float(np.max(np.sqrt(np.sum(resid * resid, axis=0))))
     span_ok = max_residual <= tol
 

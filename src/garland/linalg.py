@@ -5,9 +5,10 @@ it validates symmetry, then calls LAPACK's symmetric solvers through
 `numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
 and eigenvectors orthonormal to working precision (Golub and Van Loan,
 Matrix Computations, sections 8.3 and 8.5).  `classify_definiteness`
-validates its matrix once and makes the same LAPACK call.  Spans come from
-`orthonormalize`, which cuts the rank of a LAPACK singular value
-decomposition (section 8.6); no other module calls `numpy.linalg` for them.
+validates its matrix once and makes the same LAPACK call.  `left_singular`
+is the one singular value decomposition (section 8.6): `orthonormalize` and
+the subspace lattice cut its rank.  No other module calls `numpy.linalg` to
+factor a matrix.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def as_symmetric(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def as_symmetric(matrix) -> np.ndarray:
     """Validate and return a float64 copy of a symmetric matrix, or of a
     stack of them with shape (..., k, k).
 
     Every matrix must be square with k >= 1, entries must be finite, and the
-    asymmetry max |M - M^T| must not exceed `tol`; the returned copy is
-    exactly symmetrized so later arithmetic never sees the stray low-order
+    asymmetry max |M - M^T| must not exceed `SYMMETRY_TOL`; the returned copy
+    is exactly symmetrized so later arithmetic never sees the stray low-order
     bits.
     """
     m = np.array(matrix, dtype=float)
@@ -78,16 +79,16 @@ def as_symmetric(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise ValidationError("matrix entries must be finite")
     mt = m.swapaxes(-1, -2)
     asymmetry = max_abs(m - mt)
-    if asymmetry > tol:
+    if asymmetry > SYMMETRY_TOL:
         raise ValidationError(
-            f"matrix is not symmetric within {tol:g}: max |M - M^T| = {asymmetry:g}"
+            f"matrix is not symmetric within {SYMMETRY_TOL:g}: max |M - M^T| = {asymmetry:g}"
         )
     return (m + mt) / 2.0
 
 
-def as_symmetric_matrix(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def as_symmetric_matrix(matrix) -> np.ndarray:
     """`as_symmetric` for callers that take one matrix: a stack is refused."""
-    m = as_symmetric(matrix, tol)
+    m = as_symmetric(matrix)
     if m.ndim != 2:
         raise ValidationError(f"expected one square matrix, got a stack of shape {m.shape}")
     return m
@@ -109,21 +110,16 @@ def sym_eigs(matrix, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=np.linalg.eigvalsh(m))
 
 
-def default_zero_tol(matrix: np.ndarray) -> float:
-    """Scale-aware tolerance used to call an eigenvalue zero."""
-    return RESIDUAL_SCALE * max(1.0, max_abs(matrix))
-
-
-def classify_definiteness(matrix, zero_tol: float | None = None) -> DefinitenessClass:
+def classify_definiteness(matrix) -> DefinitenessClass:
     """Classify a symmetric matrix by the sign of its spectrum.
 
-    Positive definite when the smallest eigenvalue exceeds `zero_tol`;
-    positive semidefinite when it is at least `-zero_tol`, with corank the
-    number of eigenvalues within `zero_tol` of zero; indefinite otherwise.
+    Positive definite when the smallest eigenvalue exceeds the zero tolerance
+    `RESIDUAL_SCALE` * max(1, max |entry|); positive semidefinite when it is
+    at least minus that tolerance, with corank the number of eigenvalues
+    within it of zero; indefinite otherwise.
     """
     m = as_symmetric_matrix(matrix)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(m)
+    zero_tol = RESIDUAL_SCALE * max(1.0, max_abs(m))
     w = np.linalg.eigvalsh(m)  # m is validated already; sym_eigs would check it again
     smallest = w[0]
     if smallest > zero_tol:
@@ -141,6 +137,14 @@ def matrix_leq(a, b) -> bool:
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     return bool(np.all(ma <= mb))
+
+
+def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and descending singular values of a finite
+    (m, k) matrix, unvalidated; the vectors are min(m, k) columns, or all m
+    when `complete` is set, the trailing ones spanning the complement."""
+    left, singular, _ = np.linalg.svd(matrix, full_matrices=complete)
+    return left, singular
 
 
 def orthonormalize(
@@ -188,6 +192,6 @@ def orthonormalize(
         raise ValidationError(f"the norm of vector {overflow[0]} overflows the float range")
     if rank_tol is None:
         rank_tol = 1e-8 * float(np.max(norms))
-    left, singular, _ = np.linalg.svd(arr.T, full_matrices=False)
+    left, singular = left_singular(arr.T)
     rank = int(np.count_nonzero(singular > rank_tol))
     return left[:, :rank], rank

@@ -62,11 +62,10 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim))
 
     @classmethod
-    def from_spanning(cls, ambient_dim: int, vectors, rank_tol: float | None = None) -> "Subspace":
-        """Build the span of arbitrary vectors (rows) from their SVD, cutting
-        the rank at `rank_tol` as `orthonormalize` does; an empty list gives
-        the zero subspace."""
-        basis, _ = orthonormalize(vectors, rank_tol=rank_tol, ambient_dim=ambient_dim)
+    def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
+        """Build the span of arbitrary vectors (rows) with `orthonormalize`
+        and its default rank cut; an empty list gives the zero subspace."""
+        basis, _ = orthonormalize(vectors, ambient_dim=ambient_dim)
         return cls(ambient_dim, basis)
 
     def contains(self, other: "Subspace", tol: float = CONTAINMENT_TOL) -> bool:
@@ -138,12 +137,11 @@ def _principal_cosines(u: Subspace, v: Subspace) -> tuple[np.ndarray, np.ndarray
     return spec.eigenvalues, u.basis @ spec.eigenvectors
 
 
-def intersect(u: Subspace, v: Subspace, tol: float = INTERSECT_TOL) -> Subspace:
+def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Intersection of two subspaces.
 
     Spanned by the principal vectors of U whose principal cosine against V
-    is at least 1 - `tol`.  This is the cut `angle_cos` applies with the
-    default `tol`.
+    is at least 1 - `INTERSECT_TOL`, the cut `angle_cos` applies.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
@@ -152,7 +150,7 @@ def intersect(u: Subspace, v: Subspace, tol: float = INTERSECT_TOL) -> Subspace:
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim)
     cos2, vectors = _principal_cosines(u, v)
-    return Subspace(u.ambient_dim, vectors[:, cos2 >= (1.0 - tol) ** 2])
+    return Subspace(u.ambient_dim, vectors[:, cos2 >= (1.0 - INTERSECT_TOL) ** 2])
 
 
 def residual_complement(h: Subspace, u: Subspace) -> Subspace:

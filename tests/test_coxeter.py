@@ -324,6 +324,31 @@ def test_root_margins():
     assert group.root_separation == pytest.approx((math.sqrt(5) - 1) / 2)
 
 
+def brute_separation(vectors):
+    """Closest pair of roots by one norm call per root over all later roots."""
+    return min(
+        float(np.min(np.linalg.norm(vectors[i + 1:] - vectors[i], axis=1)))
+        for i in range(len(vectors) - 1)
+    )
+
+
+SEPARATION_TYPES = {
+    **{name: (cox, cap) for name, (cox, _, cap) in SPHERICAL.items()},
+    "A5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3))), 10_000),
+    "B5": (dynkin(5, ((0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3))), 10_000),
+    "D6": (dynkin(6, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3))), 60_000),
+    "I2(129)": (dynkin(2, ((0, 1, 129),)), 10_000),
+    "I2(1000)": (dynkin(2, ((0, 1, 1000),)), 10_000),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARATION_TYPES))
+def test_root_separation_equals_the_brute_force_minimum(name):
+    cox, cap = SEPARATION_TYPES[name]
+    roots = root_system(cox, cap=cap)
+    assert roots.separation == brute_separation(roots.vectors)
+
+
 def test_roots_must_be_well_separated(monkeypatch):
     # a tolerance whose safety factor would demand roots 1000 apart
     monkeypatch.setattr(coxeter, "ROOT_SEPARATION_FACTOR", 1e3 / ROOT_MATCH_TOL)

@@ -133,12 +133,6 @@ def test_vanishing_report_inapplicable_inputs():
         g.vanishing_report(cox_of("a3.json"), 1)
 
 
-def test_vanishing_report_dim_override():
-    report = g.vanishing_report(cox_of("a3.json"), 2, building_dim_override=4)
-    assert report.building_dim == 4
-    assert {v.degree for v in report.verdicts if v.kind == "building_cohomology"} == {1, 2, 3}
-
-
 def test_criterion_monotone_in_q():
     cox = cox_of("hyperbolic_rank4.json")
     met = [g.vanishing_report(cox, q).criterion_met for q in range(2, 10)]

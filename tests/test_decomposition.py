@@ -18,12 +18,12 @@ from garland.decomposition import (
     h_sup_tau,
     h_tau,
     indices_of,
-    proper_submasks,
     random_family,
     verify_decomposition,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
-from garland.linalg import max_abs, sym_eigs
+from garland.linalg import max_abs, orthonormalize
+from garland.subspaces import residual_complement
 
 from conftest import json_scalars, json_values, load_fixture, pd_families
 
@@ -189,8 +189,20 @@ def test_lattice_bases_equal_the_one_mask_functions_bit_for_bit():
             assert np.array_equal(lattice.h_upper[mask].basis, one.basis)
 
 
+def proper_submasks(mask: int):
+    """All submasks of `mask` except `mask` itself, ascending (starts at 0)."""
+    sub = 0
+    while sub != mask:
+        yield sub
+        sub = (sub - mask) & mask
+
+
 def reference_verify(lattice, mask, tol=1e-7):
-    """The verifier with every submask's H^eta stacked, zero-width ones too."""
+    """The verifier with every submask's H^eta stacked, zero-width ones too.
+
+    It makes the same thin SVD as `verify_decomposition`, so that the two
+    agree bit for bit exactly when the zero-width H^eta add nothing.
+    """
     target = lattice.h_lower[mask]
     submasks = [*proper_submasks(mask), mask]
     stacked = np.hstack([lattice.h_upper[sub].basis for sub in submasks])
@@ -199,19 +211,56 @@ def reference_verify(lattice, mask, tol=1e-7):
         return DecompositionReport(
             indices_of(mask), target.dim == 0, target.dim, 0, None, None, tol
         )
-    spec = sym_eigs(stacked.T @ stacked, want_vectors=True)
-    smallest = float(np.sqrt(max(spec.eigenvalues[0], 0.0)))
+    left, singular, _ = np.linalg.svd(stacked, full_matrices=False)
+    smallest = float(singular[-1]) if total <= stacked.shape[0] else 0.0
     residual = 0.0
     if target.dim > 0:
-        keep = spec.eigenvalues > tol * tol
-        vecs = spec.eigenvectors[:, keep]
-        inv = vecs @ np.diag(1.0 / spec.eigenvalues[keep]) @ vecs.T
-        resid = stacked @ (inv @ (stacked.T @ target.basis)) - target.basis
+        span = left[:, singular > tol]
+        resid = target.basis - span @ (span.T @ target.basis)
         residual = float(np.max(np.sqrt(np.sum(resid * resid, axis=0))))
     holds = total == target.dim and smallest > tol and residual <= tol
     return DecompositionReport(
         indices_of(mask), bool(holds), target.dim, total, smallest, residual, tol
     )
+
+
+def reference_component(lattice, mask):
+    """H^tau from every proper submask's H_eta, by two SVDs with two rank
+    cuts: span the stack projected into H_tau, then the residual of H_tau
+    off that span."""
+    lower = lattice.h_lower[mask]
+    columns = [lattice.h_lower[sub].basis for sub in proper_submasks(mask)]
+    if lower.dim == 0 or not any(c.shape[1] for c in columns):
+        return lower
+    stacked = np.hstack(columns)
+    projected = lower.basis @ (lower.basis.T @ stacked)
+    basis, _ = orthonormalize(projected.T, rank_tol=1e-8, ambient_dim=lower.ambient_dim)
+    return residual_complement(lower, g.Subspace(lower.ambient_dim, basis))
+
+
+def test_components_match_the_two_svd_reference_over_every_submask():
+    families = lattice_families() + [fam for fam, _ in pd_families(12, seed0=900)]
+    for fam in families:
+        lattice = build_lattice(fam)
+        for mask in range(1 << (fam.n + 1)):
+            mine = lattice.h_upper[mask]
+            ref = reference_component(lattice, mask)
+            assert mine.dim == ref.dim
+            projector_gap = mine.basis @ mine.basis.T - ref.basis @ ref.basis.T
+            assert max_abs(projector_gap) <= 1e-10
+
+
+def test_verify_resolves_the_dependent_full_index_set_of_three_lines():
+    # three component lines in a plane: the stack has 3 columns in R^2, so
+    # its smallest singular value is exactly 0; a Gram matrix of the stack
+    # has a round-off eigenvalue of about 3e-16, which passes tol^2 at
+    # tol = 1e-12 and would be inverted
+    lattice = build_lattice(g.load_family(load_fixture("three_lines_plane.json")))
+    report = verify_decomposition(lattice, (0, 1, 2))
+    assert report.min_singular_value_of_stacked_bases <= 1e-15
+    tight = verify_decomposition(lattice, (0, 1, 2), tol=1e-12)
+    assert not tight.holds
+    assert tight.max_reconstruction_residual <= 1e-12
 
 
 def test_verify_equals_the_reference_that_stacks_every_submask():

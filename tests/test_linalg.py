@@ -8,8 +8,10 @@ the random walk on an even cycle, and an intersection whose answer is known.
 
 from __future__ import annotations
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,9 +172,9 @@ def test_classify_definiteness_hand_cases():
 def test_classify_definiteness_validates_once(monkeypatch):
     calls = []
 
-    def counted(matrix, tol=linalg.SYMMETRY_TOL):
+    def counted(matrix):
         calls.append(1)
-        return as_symmetric(matrix, tol)
+        return as_symmetric(matrix)
 
     monkeypatch.setattr(linalg, "as_symmetric", counted)
     assert classify_definiteness([[2.0, -1.0], [-1.0, 2.0]]).is_positive_definite
@@ -253,3 +255,30 @@ def test_matrix_leq():
     assert matrix_leq(a, b)
     assert not matrix_leq(b, a)
     assert matrix_leq(a, a)
+
+
+FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "lstsq", "solve", "inv", "pinv", "cholesky"}
+
+
+def numpy_factorizations(path: Path) -> list[str]:
+    """`numpy.linalg` factorizations a module calls or imports by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS:
+            owner = ast.unparse(node.value)
+            if owner.split(".")[-1] == "linalg":
+                found.append(f"{owner}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [a.name for a in node.names if a.name in FACTORIZATIONS or a.name == "*"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"numpy.{a.name}" for a in node.names if a.name == "linalg"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "numpy.linalg" and a.asname]
+    return found
+
+
+def test_only_linalg_factors_matrices_with_numpy():
+    package = Path(g.__file__).parent
+    calls = {path.name: numpy_factorizations(path) for path in sorted(package.glob("*.py"))}
+    assert {"np.linalg.svd", "np.linalg.eigh", "np.linalg.eigvalsh"} <= set(calls.pop("linalg.py"))
+    assert {name: found for name, found in calls.items() if found} == {}
