@@ -11,9 +11,13 @@ point, with every match checked against the smallest distance between two
 roots; from then on each element is a row of integer root indices, so
 composition and deduplication are exact.  The group is closed one length
 layer at a time, with numpy arrays for the elements, the generator
-adjacency and the Coxeter lengths.  The enumerated chambers assemble into
-the associated partite simplicial complex via maximal-parabolic cosets,
-each labelled by its smallest element.
+adjacency and the Coxeter lengths.  Since l(s w) = l(w) +- 1, a layer's
+descents are read off the layer below, and only its ascents are imaged;
+each image row becomes one int64 key, its root indices read as digits in
+base |Phi| and re-ranked densely whenever the next digit would pass 2^63,
+and one argsort of the keys finds the new elements.  The enumerated
+chambers assemble into the associated partite simplicial complex via
+maximal-parabolic cosets, each labelled by its smallest element.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ DEFAULT_GROUP_CAP = 10_000
 # least 2 - sqrt(2) = 0.586 apart, and matches lie within 1e-14.
 ROOT_MATCH_TOL = 1e-9
 ROOT_SEPARATION_FACTOR = 1e3
+# enumeration keys are int64, so each must stay below 2^63
+KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,36 @@ class EnumeratedGroup:
         return len(self.elements)
 
 
+def _row_keys(rows: np.ndarray, count: int) -> np.ndarray:
+    """Distinct int64 keys that sort the rows as numbers in base `count`, and
+    equal rows by position.
+
+    Row p reads as its entries, digits in base `count`, followed by the digit
+    p in base n = len(rows); so rows p and q are equal exactly when their keys
+    agree after floor division by n.  The row digits are added as many at a
+    time as an int64 holds, by one matmul against their weights.  When the
+    next digit would carry the key past 2^63, the partial key is first
+    replaced by its dense rank among the rows, which keeps its order and its
+    ties; so the keys are exact at any rank.  E8 (240^8) and A1^14 (28^14)
+    need that step; E6 (72^6) does not.
+    """
+    n, r = rows.shape
+    key, bound, start = 0, 1, 0  # every key lies in [0, bound)
+    while True:
+        if bound * (count if start < r else n) >= KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        if start == r:
+            return key * n + np.arange(n)
+        stop = start + 1
+        while stop < r and bound * count ** (stop + 1 - start) < KEY_LIMIT:
+            stop += 1
+        weights = [count ** (stop - 1 - j) for j in range(start, stop)]
+        key = key * (weights[0] * count) + rows[:, start:stop] @ np.array(weights, dtype=np.int64)
+        bound *= weights[0] * count
+        start = stop
+
+
 def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> EnumeratedGroup:
     """Breadth-first closure of the generators acting on the root system,
     one length layer at a time.
@@ -311,61 +347,73 @@ def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> Enumera
     W acts faithfully on its finite root system (Humphreys, Reflection Groups
     and Coxeter Groups, section 5.4), so composition is exact on root
     indices: the row of s w is `perms[s][row]`.  Breadth-first distance from
-    the identity is the Coxeter length, and an image s w of an element w of
-    length k lies in layer k - 1, k or k + 1, so it is either a row of the
-    two layers already known or a new element of length k + 1.
-    All images of a layer are formed at once, in the order element then
-    generator, and stacked under the known rows; one stable lexsort of the
-    stack puts equal rows next to each other, known rows first.  A run of
-    equal rows that holds no known row is a new element, and new elements
-    are numbered by their first position in the stack, which is the order in
-    which a one-at-a-time queue would meet them.  Rows are compared whole, as
-    integers, so deduplication involves no floats and no hashing.  Raises
-    when the roots do not close within `cap`, and, for a finite group, when
-    more than `cap` elements appear; the cap is checked after each layer, so
-    no layer sorts more than rank * cap images.
+    the identity is the Coxeter length, and the sign character
+    det(w) = (-1)^l(w) (section 5.2) gives l(s w) = l(w) +- 1: s is a left
+    descent of w, with s w in the layer below, or an ascent, with s w in the
+    layer above (Bjorner and Brenti, Combinatorics of Coxeter Groups, section
+    1.4).  No image stays in its layer, so descents need no search: an
+    ascent adjacency[j, s] = i found while closing layer k - 1 is the descent
+    adjacency[i, s] = j of layer k, and one scatter fills all of them.  The
+    entries still unset are the ascents of layer k, and only those are
+    imaged, in the order element then generator.  Each image row becomes one
+    int64 key (`_row_keys`), and one argsort of the keys puts equal images
+    next to each other, the first position of each group leading it.  Every
+    group is a new element of layer k + 1, and new elements are numbered in
+    order of their leaders, which is the order in which a one-at-a-time queue
+    would meet them.  Keys are exact integers, so deduplication involves no
+    floats and no hashing.  Raises when the roots do not close within `cap`,
+    and, for a finite group, when more than `cap` elements appear; the cap is
+    checked after each layer, and every layer whose images are sorted lies
+    within it, so all layers together sort at most rank * cap keys.
     """
     roots = root_system(cox, cap=cap)
     count = len(roots.vectors)
     r = cox.rank
-    # the narrowest unsigned type that holds a root index: numpy sorts 8- and
-    # 16-bit keys by radix, several times faster than wider ones
-    dtype = np.min_scalar_type(count - 1)
-    perms = np.array(roots.permutations, dtype=dtype)
-    previous = np.empty((0, r), dtype=dtype)
-    layer = np.arange(r, dtype=dtype)[None, :]
+    perms = np.array(roots.permutations, dtype=np.min_scalar_type(count - 1))
+    table = perms.ravel()  # s(root k) is table[s * count + k]
+    layer = np.arange(r, dtype=perms.dtype)[None, :]
     layers = [layer]
     adjacency = []
     first = 0  # index of the first element of `layer`
+    # the ascents of the layer below: their flat (element, generator)
+    # positions in this layer's block, and the elements they leave
+    down_at = down_from = np.empty(0, dtype=np.intp)
     while len(layer):
-        known = np.concatenate([previous, layer])
-        images = np.swapaxes(perms[:, layer], 0, 1).reshape(-1, r)
-        rows = np.concatenate([known, images])
-        order = np.lexsort(rows.T)
-        ordered = rows[order]
-        starts = np.ones(len(rows), dtype=bool)
-        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        group_of = np.empty(len(rows), dtype=np.intp)
-        group_of[order] = np.cumsum(starts) - 1
-        # the sort is stable, so a group's first row is its first in `rows`
+        block = np.full(len(layer) * r, -1, dtype=np.intp)
+        block[down_at] = down_from
+        at = (block < 0).nonzero()[0]
+        up, gen = np.divmod(at, r)
+        rows = layer.take(up, axis=0).astype(np.intp)
+        rows += (gen * count)[:, None]
+        images = table.take(rows)
+        keys = _row_keys(images, count)
+        n = len(keys)
+        order = keys.argsort()
+        ordered = keys[order] // n
+        starts = np.empty(n, dtype=bool)
+        starts[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         leader = order[starts]
-        # row p of `known` is element first - len(previous) + p
-        index = leader + (first - len(previous))
-        fresh = np.flatnonzero(leader >= len(known))
-        fresh = fresh[np.argsort(leader[fresh])]
         following = first + len(layer)
-        index[fresh] = following + np.arange(len(fresh))
-        if following + len(fresh) > cap:
+        if following + len(leader) > cap:
             raise GroupEnumerationError(
                 f"group is finite but has more than {cap} elements "
                 f"(its {count} roots close); raise the cap"
             )
-        adjacency.append(index[group_of[len(known):]].reshape(-1, r))
-        previous, layer, first = layer, rows[leader[fresh]], following
+        fresh = np.zeros(n, dtype=bool)
+        fresh[leader] = True
+        # a group's new element is numbered by the rank of its leader among
+        # the leaders, in order of position
+        index = np.empty(n, dtype=np.intp)
+        index[order] = (fresh.cumsum() - 1)[leader][starts.cumsum() - 1]
+        block[at] = following + index
+        adjacency.append(block)
+        down_at, down_from = index * r + gen, first + up
+        layer, first = images[fresh], following
         layers.append(layer)
     elements = np.concatenate(layers)
     lengths = np.repeat(np.arange(len(layers)), list(map(len, layers)))
-    adjacency = np.concatenate(adjacency)
+    adjacency = np.concatenate(adjacency).reshape(-1, r)
     for array in (elements, adjacency, lengths):
         array.flags.writeable = False
     return EnumeratedGroup(

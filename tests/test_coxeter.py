@@ -134,6 +134,7 @@ def dynkin(rank, edges):
 
 H4 = dynkin(4, ((0, 1, 5), (1, 2, 3), (2, 3, 3)))
 E6 = dynkin(6, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)))
+E8 = dynkin(8, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (1, 3, 3)))
 
 
 def test_large_group_orders():
@@ -219,6 +220,7 @@ SPHERICAL = {
     "D5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3))), (2, 4, 5, 6, 8), 60_000),
     "E6": (E6, (2, 5, 6, 8, 9, 12), 60_000),
     "A1^10": (dynkin(10, ()), (2,) * 10, 10_000),  # rank above 8
+    "A1^14": (dynkin(14, ()), (2,) * 14, 16_384),  # keys past one int64 word
     "I2(5)": (dynkin(2, ((0, 1, 5),)), (2, 5), 10_000),
 }
 
@@ -253,6 +255,17 @@ def test_lengths_follow_the_poincare_polynomial(name):
     assert lengths.max() == sum(d - 1 for d in degrees)  # the positive roots
 
 
+@pytest.mark.parametrize("name", list(SPHERICAL))
+def test_each_generator_moves_one_layer_and_back(name):
+    cox, _, cap = SPHERICAL[name]
+    group = g.enumerate_group(cox, cap=cap)
+    adjacency, lengths = group.adjacency, group.lengths
+    # l(s w) = l(w) +- 1, and s (s w) = w
+    assert np.all(np.abs(lengths[adjacency] - lengths[:, None]) == 1)
+    back = adjacency[adjacency, np.arange(cox.rank)]
+    assert np.array_equal(back, np.repeat(np.arange(group.order)[:, None], cox.rank, axis=1))
+
+
 @pytest.mark.parametrize("name", ["B3", "F4", "H4"])
 def test_cap_at_the_order(name):
     cox, degrees, _ = SPHERICAL[name]
@@ -268,20 +281,21 @@ def test_cap_at_the_order(name):
 
 
 def test_cap_bounds_the_sorted_rows(monkeypatch):
-    sorted_rows = []
-    original = np.lexsort
+    sorted_keys = []
+    original = coxeter._row_keys
 
-    def counting_lexsort(keys):
-        sorted_rows.append(len(keys[0]))
-        return original(keys)
+    def counting_row_keys(rows, count):
+        keys = original(rows, count)
+        sorted_keys.append(len(keys))
+        return keys
 
-    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    monkeypatch.setattr(coxeter, "_row_keys", counting_row_keys)
     with pytest.raises(GroupEnumerationError, match="more than 1000 elements"):
         g.enumerate_group(E6, cap=1000)
-    # each layer stacks at most 2 known layers and rank images per element,
-    # none of them past the cap, so E6's 51840 elements are never reached
-    assert max(sorted_rows) <= (6 + 2) * 1000
-    assert sum(sorted_rows) <= 2 * (6 + 2) * 1000
+    # each layer sorts one key per ascent, at most rank per element, and
+    # every layer whose images are sorted lies within the cap, so E6's 51840
+    # elements are never reached
+    assert sum(sorted_keys) <= 6 * 1000
 
 
 def compose(p, q):
@@ -357,11 +371,12 @@ def test_roots_must_be_well_separated(monkeypatch):
 
 
 def test_finite_group_over_cap_says_finite():
-    with pytest.raises(GroupEnumerationError) as info:
-        g.enumerate_group(H4)
-    message = str(info.value)
-    assert "finite" in message and "likely infinite" not in message
-    assert "10000 elements" in message and "120 roots" in message
+    for cox, roots in ((H4, 120), (E8, 240)):
+        with pytest.raises(GroupEnumerationError) as info:
+            g.enumerate_group(cox)
+        message = str(info.value)
+        assert "finite" in message and "likely infinite" not in message
+        assert "10000 elements" in message and f"{roots} roots" in message
 
 
 def test_dihedral_group_past_256_roots():
