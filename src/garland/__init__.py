@@ -11,7 +11,6 @@ from .complexes import (
     gallery_connected,
     link_of,
     load_complex,
-    random_walk_second_eig,
     thickness,
     validate_complex,
 )
@@ -35,8 +34,6 @@ from .criterion import (
 from .decomposition import (
     SubspaceLattice,
     build_lattice,
-    h_sup_tau,
-    h_tau,
     load_family,
     random_family,
     verify_decomposition,
@@ -51,18 +48,16 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .linalg import classify_definiteness, matrix_leq, orthonormalize, sym_eigs
+from .linalg import classify_definiteness, orthonormalize, sym_eigs
 from .subspaces import (
     CosineMatrix,
     Subspace,
     SubspaceFamily,
     angle_cos,
-    complement_within,
     cosine_matrix_of_family,
     intersect,
     kassabov_delta,
     kassabov_reduced,
-    residual_complement,
     spherical_face_family,
 )
 

@@ -20,6 +20,7 @@ from . import criterion as crit
 from .complexes import _number_table, cosine_matrix_of_complex, load_complex, thickness
 from .coxeter import classify_coxeter, coxeter_cosine, load_coxeter_matrix
 from .decomposition import (
+    VERIFY_TOL,
     as_mask,
     build_lattice,
     indices_of,
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tau", default=None, metavar="I,J,...",
                    help="single index set to verify (default: all subsets)")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
 
     p = sub.add_parser("spherical-simplex", help="face subspace cosine matrix")
     common(p)
@@ -173,7 +174,6 @@ def cmd_decompose(args) -> dict:
         warnings.append(
             "cosine matrix is not positive definite; the decomposition is not guaranteed"
         )
-    masks = sorted(range(1 << (n + 1)), key=lambda m: (m.bit_count(), m))
     if args.tau is not None:
         try:
             requested = [int(part) for part in args.tau.split(",") if part != ""]
@@ -181,7 +181,7 @@ def cmd_decompose(args) -> dict:
             raise ValidationError(f"--tau must be a comma-separated index list, got {args.tau!r}")
         check_masks = [as_mask(requested, n)]
     else:
-        check_masks = masks
+        check_masks = list(lattice.h_lower)
     checks = [to_jsonable(verify_decomposition(lattice, m, tol=args.tol)) for m in check_masks]
     result = {
         "ambient_dim": family.ambient_dim,
@@ -196,7 +196,7 @@ def cmd_decompose(args) -> dict:
                 "dim_h_tau": lattice.h_lower[m].dim,
                 "dim_h_sup_tau": lattice.h_upper[m].dim,
             }
-            for m in masks
+            for m in lattice.h_lower
         ],
         "checks": checks,
         "all_hold": all(c["holds"] for c in checks),

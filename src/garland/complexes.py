@@ -16,9 +16,7 @@ cotype at a time: links of one vertex count become one stack of adjacency
 matrices, so their walk spectra are one stacked `eigvalsh` call, and their
 diameters and cycle flags (for the Coxeter-complex check) come from boolean
 powers and degrees of the same stack.  `validate_complex` proves every link
-connected (B2) before this pass, which therefore re-checks none.  The one-link
-functions `random_walk_second_eig`, `graph_diameter` and `is_cycle` are the
-same computation on a stack of one, with their own checks.
+connected (B2) before this pass, which therefore re-checks none.
 """
 
 from __future__ import annotations
@@ -322,35 +320,6 @@ def _diameters(adj: np.ndarray) -> np.ndarray:
         reach = np.where(grows[:, None, None], step, reach)
         below += grows << i
     return np.where(full(powers[-1]), below + 1, -1)
-
-
-def graph_diameter(x: PartiteComplex) -> int:
-    """Largest distance between two vertices of a connected 1-dimensional complex."""
-    diameter = int(_walk_spectra([x])[1][0])
-    if diameter < 0:
-        raise ValidationError("diameter undefined: graph not connected")
-    return diameter
-
-
-def is_cycle(x: PartiteComplex) -> bool:
-    """Whether a 1-dimensional complex is connected with every degree exactly 2."""
-    return bool(_walk_spectra([x])[2][0])
-
-
-def random_walk_second_eig(x: PartiteComplex) -> float:
-    """Second largest eigenvalue of the simple random walk on a connected
-    1-dimensional complex.
-
-    Computed from the degree-symmetrized walk matrix with entries
-    adjacency[u][v] / sqrt(d(u) d(v)), which shares the walk's spectrum.
-    """
-    second, diameter, _ = _walk_spectra([x])
-    dead = [v for v in sorted(x.vertex_types) if not x.star({v})]
-    if dead:
-        raise ValidationError(f"random walk undefined: zero-degree vertices {dead}")
-    if diameter[0] < 0:
-        raise ValidationError("link not connected (violates B2)")
-    return float(second[0])
 
 
 def cycle_complex(length: int) -> PartiteComplex:

@@ -10,8 +10,8 @@ eta inside tau really decompose H_tau as a direct sum.
 full space, an index set missing one index i gets V_i, and every other tau
 gets H_{tau + hi} cut with V_hi, hi being the highest index outside tau.
 That is one intersection for each index set with two or more indices
-outside it, and it repeats `h_tau`'s left-to-right intersections exactly, so
-both give the same bases bit for bit.
+outside it, and each H_tau comes out as the left-to-right intersection of
+the V_i outside tau.
 
 H_eta lies in H_{tau - i} whenever eta lies in tau - i, so the smaller H_eta
 together span what the |tau| maximal ones H_{tau - i} span, and only those
@@ -92,35 +92,16 @@ class SubspaceLattice:
         return self.family.n
 
 
-def h_tau(family: SubspaceFamily, tau) -> Subspace:
-    """H_tau: intersection of the members NOT indexed by tau (full space if none)."""
-    n = family.n
-    mask = as_mask(tau, n)
-    outside = [i for i in range(n + 1) if not mask >> i & 1]
-    if not outside:
-        return Subspace.full(family.ambient_dim)
-    result = family.members[outside[0]]
-    for i in outside[1:]:
-        result = intersect(result, family.members[i])
-    return result
+def _h_sup_tau(lower: Subspace, maximal: list[np.ndarray]) -> Subspace:
+    """H^tau: the part of H_tau (`lower`) orthogonal to every smaller H_eta.
 
-
-def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) -> Subspace:
-    """H^tau: the part of H_tau orthogonal to every H_eta with eta a proper subset.
-
-    `lattice_so_far` must already hold h_lower entries for tau and for its
-    |tau| maximal proper subsets tau - i, whose spaces span every smaller
-    H_eta.  Their stack is projected into coordinates of H_tau, so marginal
-    containment error cannot leak outside it, and the complement of its
-    column space there, taken from the complete left singular factor, is
-    orthonormal by construction.
+    `maximal` holds the bases of the |tau| maximal proper subsets tau - i,
+    whose spaces span every smaller H_eta.  Their stack is projected into
+    coordinates of H_tau, so marginal containment error cannot leak outside
+    it, and the complement of its column space there, taken from the
+    complete left singular factor, is orthonormal by construction.
     """
-    mask = as_mask(tau, family.n)
-    lower = lattice_so_far[mask]
-    if lower.dim == 0:
-        return lower
-    maximal = [lattice_so_far[mask ^ 1 << i].basis for i in indices_of(mask)]
-    if not any(basis.shape[1] for basis in maximal):
+    if lower.dim == 0 or not any(basis.shape[1] for basis in maximal):
         return lower
     left, singular = left_singular(lower.basis.T @ np.hstack(maximal), complete=True)
     rank = int(np.count_nonzero(singular > 1e-8))
@@ -128,9 +109,9 @@ def h_sup_tau(family: SubspaceFamily, tau, lattice_so_far: dict[int, Subspace]) 
 
 
 def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
-    """Populate H_tau (top down, see the module docstring) and H^tau (with
-    `h_sup_tau`) for every subset; both are keyed in increasing cardinality
-    order."""
+    """Populate H_tau (top down, see the module docstring) and H^tau for
+    every subset; both are keyed in increasing cardinality order, then by
+    mask."""
     n = family.n
     if n > MAX_FAMILY_N:
         raise ValidationError(
@@ -150,7 +131,12 @@ def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
         else:
             top_down[mask] = intersect(top_down[mask | 1 << hi], family.members[hi])
     lower = {mask: top_down[mask] for mask in masks}
-    upper = {mask: h_sup_tau(family, mask, lower) for mask in masks}
+    upper = {}
+    for mask, h in lower.items():
+        # a zero H_tau is its own H^tau, and most H_tau of sparse families are
+        # zero, so their maximal lists are not built
+        maximal = [lower[mask ^ 1 << i].basis for i in indices_of(mask)] if h.dim else []
+        upper[mask] = _h_sup_tau(h, maximal)
     return SubspaceLattice(family=family, h_lower=lower, h_upper=upper)
 
 
@@ -168,9 +154,7 @@ class DecompositionReport:
 
 
 def verify_decomposition(
-    source: SubspaceFamily | SubspaceLattice,
-    tau,
-    tol: float = VERIFY_TOL,
+    lattice: SubspaceLattice, tau, tol: float = VERIFY_TOL
 ) -> DecompositionReport:
     """Check three conditions for the decomposition of H_tau.
 
@@ -184,7 +168,6 @@ def verify_decomposition(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be a positive finite number, got {tol}")
-    lattice = source if isinstance(source, SubspaceLattice) else build_lattice(source)
     mask = as_mask(tau, lattice.n)
     target = lattice.h_lower[mask]
     # the nonzero H^eta of the submasks eta, ascending, so mask comes last

@@ -130,15 +130,6 @@ def classify_definiteness(matrix) -> DefinitenessClass:
     return DefinitenessClass(kind="indefinite", corank=0)
 
 
-def matrix_leq(a, b) -> bool:
-    """Exact entrywise comparison a <= b for same-shaped symmetric matrices."""
-    ma = as_symmetric_matrix(a)
-    mb = as_symmetric_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return bool(np.all(ma <= mb))
-
-
 def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and descending singular values of a finite
     (m, k) matrix, unvalidated; the vectors are min(m, k) columns, or all m
@@ -147,22 +138,17 @@ def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarra
     return left, singular
 
 
-def orthonormalize(
-    vectors,
-    rank_tol: float | None = None,
-    ambient_dim: int | None = None,
-) -> tuple[np.ndarray, int]:
+def orthonormalize(vectors, ambient_dim: int | None = None) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the span of a list of row vectors, by SVD.
 
     The basis is the left singular vectors of the matrix whose columns are
-    the vectors, keeping those whose singular value exceeds `rank_tol`
-    (default: 1e-8 times the largest input vector norm).  Returns
-    `(basis, rank)` where `basis` has orthonormal columns, shape
-    `(ambient_dim, rank)`.
+    the vectors, keeping those whose singular value exceeds 1e-8 times the
+    largest input vector norm.  Returns `(basis, rank)` where `basis` has
+    orthonormal columns, shape `(ambient_dim, rank)`.
 
     An empty vector list is legal and yields rank 0, but then `ambient_dim`
     must be supplied since it cannot be inferred.  Entries must be finite,
-    and so must every vector's norm, from which the default `rank_tol` comes.
+    and so must every vector's norm, from which the rank cut comes.
     """
     arr = np.array(vectors, dtype=float)
     if arr.size == 0:
@@ -190,8 +176,6 @@ def orthonormalize(
     overflow = np.flatnonzero(~np.isfinite(norms))
     if overflow.size:
         raise ValidationError(f"the norm of vector {overflow[0]} overflows the float range")
-    if rank_tol is None:
-        rank_tol = 1e-8 * float(np.max(norms))
     left, singular = left_singular(arr.T)
-    rank = int(np.count_nonzero(singular > rank_tol))
+    rank = int(np.count_nonzero(singular > 1e-8 * float(np.max(norms))))
     return left[:, :rank], rank

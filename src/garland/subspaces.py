@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularityError, ValidationError
 from .linalg import as_symmetric_matrix, max_abs, orthonormalize, sym_eigs
 
-CONTAINMENT_TOL = 1e-8
 INTERSECT_TOL = 1e-8
 GRAM_TOL = 1e-10
 
@@ -64,20 +63,9 @@ class Subspace:
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
         """Build the span of arbitrary vectors (rows) with `orthonormalize`
-        and its default rank cut; an empty list gives the zero subspace."""
+        and its rank cut; an empty list gives the zero subspace."""
         basis, _ = orthonormalize(vectors, ambient_dim=ambient_dim)
         return cls(ambient_dim, basis)
-
-    def contains(self, other: "Subspace", tol: float = CONTAINMENT_TOL) -> bool:
-        """Whether every basis vector of `other` lies in this subspace within `tol`."""
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-        if other.dim == 0:
-            return True
-        resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return float(np.max(np.sqrt(np.sum(resid * resid, axis=0)))) <= tol
 
 
 @dataclass(frozen=True)
@@ -151,38 +139,6 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
         return Subspace.zero(u.ambient_dim)
     cos2, vectors = _principal_cosines(u, v)
     return Subspace(u.ambient_dim, vectors[:, cos2 >= (1.0 - INTERSECT_TOL) ** 2])
-
-
-def residual_complement(h: Subspace, u: Subspace) -> Subspace:
-    """Span of (I - P_U) applied to H's basis, keeping whatever rank survives.
-
-    Agrees with complement_within when U really is contained in H, but never
-    raises on marginal geometry (it simply returns the residual span), which
-    is what the lattice computations need on near-degenerate input.
-    """
-    if u.dim == 0:
-        return h
-    resid = h.basis - u.basis @ (u.basis.T @ h.basis)
-    # residuals of unit columns: an absolute drop tolerance is the right scale
-    basis, _ = orthonormalize(resid.T, rank_tol=1e-8, ambient_dim=h.ambient_dim)
-    return Subspace(h.ambient_dim, basis)
-
-
-def complement_within(h: Subspace, u: Subspace) -> Subspace:
-    """Orthogonal complement of U taken inside H, for U contained in H."""
-    if h.ambient_dim != u.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {h.ambient_dim} vs {u.ambient_dim}"
-        )
-    if not h.contains(u):
-        raise ValidationError("complement_within requires U to be contained in H")
-    result = residual_complement(h, u)
-    if result.dim != h.dim - u.dim:
-        raise ValidationError(
-            f"complement rank {result.dim} disagrees with dim(H) - dim(U) = "
-            f"{h.dim - u.dim}; the containment is numerically marginal"
-        )
-    return result
 
 
 def angle_cos(u: Subspace, v: Subspace) -> float:

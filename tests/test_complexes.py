@@ -16,10 +16,7 @@ from garland.complexes import (
     bfs_distances,
     cycle_complex,
     gallery_connected,
-    graph_diameter,
-    is_cycle,
     link_of,
-    random_walk_second_eig,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
@@ -116,21 +113,43 @@ def test_thickness():
     assert g.thickness(g.load_complex(load_fixture("heawood.json"))) == 3
 
 
+def walk(x):
+    """Second walk eigenvalue, diameter and cycle flag of one 1-dimensional
+    complex, from the walk pass on a stack of one."""
+    second, diameter, cycle = _walk_spectra([x])
+    return float(second[0]), int(diameter[0]), bool(cycle[0])
+
+
+# One reader per column of the walk pass, each on a stack of one.
+def random_walk_second_eig(x):
+    return walk(x)[0]
+
+
+def graph_diameter(x):
+    return walk(x)[1]
+
+
+def is_cycle(x):
+    return walk(x)[2]
+
+
 def test_heawood_walk_diameter_and_cycle():
     x = g.load_complex(load_fixture("heawood.json"))
     assert {len(x.star({v})) for v in x.vertex_types} == {3}
-    lam = random_walk_second_eig(x)
+    lam, diameter, cycle = walk(x)
     assert abs(lam - math.sqrt(2.0) / 3.0) <= 1e-12
-    assert graph_diameter(x) == 3
-    assert not is_cycle(x)
+    assert diameter == 3
+    assert not cycle
 
 
 def test_cycle_complexes():
     x = cycle_complex(8)
-    assert is_cycle(x)
-    assert abs(random_walk_second_eig(x) - math.cos(math.pi / 4)) <= 1e-12
+    lam, diameter, cycle = walk(x)
+    assert cycle
+    assert diameter == 4
+    assert abs(lam - math.cos(math.pi / 4)) <= 1e-12
     # 4-cycle: walk spectrum {1, 0, 0, -1}
-    assert abs(random_walk_second_eig(cycle_complex(4))) <= 1e-12
+    assert abs(walk(cycle_complex(4))[0]) <= 1e-12
     with pytest.raises(ValidationError):
         cycle_complex(5)
     with pytest.raises(ValidationError):
@@ -141,28 +160,23 @@ def test_walk_rejects_disconnected():
     two_edges = g.PartiteComplex(
         {0: 0, 1: 1, 2: 0, 3: 1}, (frozenset({0, 1}), frozenset({2, 3}))
     )
-    with pytest.raises(ValidationError, match="B2"):
-        random_walk_second_eig(two_edges)
-    with pytest.raises(ValidationError, match="not connected"):
-        graph_diameter(two_edges)
-    assert not is_cycle(two_edges)
     # every degree is 2, but the two squares are apart
     squares = g.PartiteComplex(
         {v: v % 2 for v in range(8)},
         tuple(frozenset({base + i, base + (i + 1) % 4}) for base in (0, 4) for i in range(4)),
     )
-    with pytest.raises(ValidationError, match="B2"):
-        random_walk_second_eig(squares)
-    with pytest.raises(ValidationError, match="not connected"):
-        graph_diameter(squares)
-    assert not is_cycle(squares)
+    for x in (two_edges, squares):
+        # the pass flags the link, and the cosine matrix refuses it
+        assert walk(x)[1:] == (-1, False)
+        with pytest.raises(ValidationError, match="complex itself is not gallery connected"):
+            g.cosine_matrix_of_complex(x)
 
 
 def test_walk_rejects_zero_degree_vertices():
     # vertex 2 is declared but lies in no facet
     x = g.PartiteComplex({0: 0, 1: 1, 2: 0}, (frozenset({0, 1}),))
-    with pytest.raises(ValidationError, match=r"zero-degree vertices \[2\]"):
-        random_walk_second_eig(x)
+    with pytest.raises(ValidationError, match=r"orphan vertices \(2,\)"):
+        g.cosine_matrix_of_complex(x)
 
 
 @pytest.mark.parametrize("fn", [random_walk_second_eig, graph_diameter, is_cycle])
@@ -225,14 +239,12 @@ def reference_walk(link):
 
 
 def assert_walk_pass_matches_one_link(x, report):
-    """Every per-pair summary equals what the one-link functions and the
-    loop reference give on each link, taken in faces() order; floats compare
+    """Every per-pair summary equals what the walk pass on each link alone
+    and the loop reference give, links taken in faces() order; floats compare
     exactly, as the arithmetic is the same."""
     for (ti, tj), spec in report.per_pair.items():
         links = [link_of(x, sigma) for sigma in x.faces(t for t in x.types if t not in (ti, tj))]
-        lambdas = [random_walk_second_eig(link) for link in links]
-        diameters = [graph_diameter(link) for link in links]
-        cycles = [is_cycle(link) for link in links]
+        lambdas, diameters, cycles = map(list, zip(*map(walk, links)))
         assert list(zip(lambdas, diameters, cycles)) == [reference_walk(link) for link in links]
         stacked = _walk_spectra(links)  # what the pass read, link by link
         assert [list(column) for column in stacked] == [lambdas, diameters, cycles]

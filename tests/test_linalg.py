@@ -23,7 +23,6 @@ from garland.errors import ValidationError
 from garland.linalg import (
     as_symmetric,
     classify_definiteness,
-    matrix_leq,
     max_abs,
     orthonormalize,
     sym_eigs,
@@ -72,7 +71,8 @@ def test_sym_eigs_cycle_walk_closed_form(length):
         walk[a, b] = walk[b, a] = 0.5  # every vertex has degree 2
     expected = sorted(math.cos(2 * math.pi * k / length) for k in range(length))
     assert max_abs(sym_eigs(walk).eigenvalues - expected) <= 1e-14
-    assert abs(g.random_walk_second_eig(cycle) - math.cos(2 * math.pi / length)) <= 1e-14
+    (spec,) = g.cosine_matrix_of_complex(cycle).per_pair.values()
+    assert abs(spec.second_eigenvalue - math.cos(2 * math.pi / length)) <= 1e-14
 
 
 def test_intersect_recovers_a_shared_plane():
@@ -152,8 +152,6 @@ def test_one_matrix_callers_refuse_a_stack():
         classify_definiteness(stack)
     with pytest.raises(ValidationError, match="stack"):
         g.CosineMatrix(stack)
-    with pytest.raises(ValidationError, match="stack"):
-        matrix_leq(stack, stack)
     with pytest.raises(ValidationError, match="stack"):
         g.min_thickness(stack)
     with pytest.raises(ValidationError, match="stack"):
@@ -250,11 +248,14 @@ def test_orthonormalize_spans_same_space(seed, count, dim):
 
 
 def test_matrix_leq():
+    # entrywise order of cosine matrices orders their smallest eigenvalues
     a = np.array([[1.0, -0.5], [-0.5, 1.0]])
     b = np.array([[1.0, -0.25], [-0.25, 1.0]])
-    assert matrix_leq(a, b)
-    assert not matrix_leq(b, a)
-    assert matrix_leq(a, a)
+    assert np.all(a <= b)
+    assert not np.all(b <= a)
+    assert np.all(a <= a)
+    assert abs(sym_eigs(a).eigenvalues[0] - 0.5) <= 1e-15
+    assert abs(sym_eigs(b).eigenvalues[0] - 0.75) <= 1e-15
 
 
 FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "lstsq", "solve", "inv", "pinv", "cholesky"}

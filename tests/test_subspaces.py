@@ -17,14 +17,9 @@ from hypothesis import strategies as st
 import garland as g
 from garland import subspaces
 from garland.complexes import _number_table
-from garland.errors import (
-    DimensionMismatchError,
-    GarlandError,
-    SingularityError,
-    ValidationError,
-)
+from garland.errors import GarlandError, SingularityError, ValidationError
 from garland.linalg import max_abs
-from garland.subspaces import INTERSECT_TOL, residual_complement
+from garland.subspaces import INTERSECT_TOL
 
 from conftest import intersecting_family, json_scalars, json_values
 
@@ -56,14 +51,21 @@ def test_subspace_basis_is_frozen():
         s.basis[0, 0] = 2.0
 
 
+def contains(h: g.Subspace, u: g.Subspace) -> bool:
+    """Whether U lies in H: intersecting keeps all of U."""
+    return g.intersect(h, u).dim == u.dim
+
+
 def test_contains():
     plane = g.Subspace.from_spanning(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     line = g.Subspace.from_spanning(3, [[1.0, 1.0, 0.0]])
     tilted = g.Subspace.from_spanning(3, [[1.0, 0.0, 1.0]])
-    assert plane.contains(line)
-    assert not plane.contains(tilted)
-    assert plane.contains(g.Subspace.zero(3))
-    assert g.Subspace.full(3).contains(plane)
+    assert contains(plane, line)
+    assert not contains(plane, tilted)
+    assert contains(plane, g.Subspace.zero(3))
+    assert contains(g.Subspace.full(3), plane)
+    assert g.angle_cos(plane, line) == 0.0
+    assert abs(g.angle_cos(plane, tilted) - math.sqrt(0.5)) <= 1e-12
 
 
 def test_intersect_coordinate_planes():
@@ -124,7 +126,7 @@ def test_angle_cos_matches_projector_oracle():
         pv = int(rng.integers(1, d))
         u = g.Subspace.from_spanning(d, rng.standard_normal((pu, d)))
         v = g.Subspace.from_spanning(d, rng.standard_normal((pv, d)))
-        if u.contains(v) or v.contains(u):
+        if contains(u, v) or contains(v, u):
             continue
         assert abs(g.angle_cos(u, v) - angle_via_projectors(u, v)) <= 1e-9
     # designed nontrivial intersections as well
@@ -170,9 +172,7 @@ def test_intersect_and_angle_cos_make_one_eigensolve(monkeypatch):
         raise AssertionError("intersect and angle_cos read the principal cosines only")
 
     monkeypatch.setattr(subspaces, "sym_eigs", counted)
-    for name in ("residual_complement", "orthonormalize"):
-        monkeypatch.setattr(subspaces, name, refused)
-    monkeypatch.setattr(g.Subspace, "contains", refused)
+    monkeypatch.setattr(subspaces, "orthonormalize", refused)
     monkeypatch.setattr(g.Subspace, "from_spanning", refused)
     t = 0.3
     u = g.Subspace(3, np.eye(3)[:, :2])
@@ -181,33 +181,6 @@ def test_intersect_and_angle_cos_make_one_eigensolve(monkeypatch):
     assert len(calls) == 1
     assert abs(g.angle_cos(u, v) - math.cos(t)) <= 1e-12
     assert len(calls) == 2
-
-
-def test_complement_within():
-    full = g.Subspace.full(3)
-    line = g.Subspace.from_spanning(3, [[0.0, 0.0, 1.0]])
-    c = g.complement_within(full, line)
-    assert c.dim == 2
-    assert max_abs(c.basis[2]) <= 1e-12
-    with pytest.raises(ValidationError):
-        g.complement_within(line, full)  # not contained
-    with pytest.raises(DimensionMismatchError):
-        g.complement_within(g.Subspace.full(2), line)
-
-
-def test_residual_complement_tolerates_marginal_input():
-    # u sticks out of h by slightly more than the containment tolerance: the
-    # strict op refuses, the residual one returns whatever rank survives
-    h = g.Subspace.from_spanning(3, [[1.0, 0, 0], [0, 1.0, 0]])
-    u = g.Subspace.from_spanning(3, [[1.0, 0.0, 1e-7]])
-    with pytest.raises(ValidationError):
-        g.complement_within(h, u)
-    r = residual_complement(h, u)
-    assert r.dim in (1, 2)
-    assert max_abs(r.basis.T @ u.basis) <= 1e-6
-    # and it agrees with the strict op on clean input
-    clean = g.Subspace.from_spanning(3, [[1.0, 0.0, 0.0]])
-    assert residual_complement(h, clean).dim == g.complement_within(h, clean).dim == 1
 
 
 def test_cosine_matrix_validation():
