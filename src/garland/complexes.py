@@ -1,13 +1,14 @@
 """Partite simplicial complexes, links, and random-walk spectra of 1-dim links.
 
-A complex is stored by its facets; every facet must contain exactly one vertex
-of each type.  Queries go through two derived views.  The star of a vertex,
-the indices of the facets containing it, is built once on first use: a
-simplex is in the complex when the stars of its vertices meet, and its link
-is read off their intersection.  `faces(types)` groups the facets by their
-face of one type set, listing the simplices of that type with their facets.
-A link is again a partite complex; a 1-dimensional one is a bipartite graph
-whose edges are its facets.
+A complex is stored by its facets.  Its types are those of its vertices, and
+one pass in facet order checks that each facet is new, declared, and holds
+one vertex of each type, so an error names the first bad facet.  Queries go
+through two derived views.  The star of a vertex, the indices of the facets
+containing it, is built once on first use: a simplex is in the complex when
+the stars of its vertices meet, and its link is read off their intersection.
+`faces(types)` groups the facets by their face of one type set, listing the
+simplices of that type with their facets.  A link is again a partite
+complex; a 1-dimensional one is a bipartite graph whose edges are its facets.
 
 The cosine matrix of an n-dimensional complex collects, for every unordered
 type pair {i, j}, the second largest random-walk eigenvalue over the links of
@@ -16,7 +17,9 @@ cotype at a time: links of one vertex count become one stack of adjacency
 matrices, so their walk spectra are one stacked `eigvalsh` call, and their
 diameters and cycle flags (for the Coxeter-complex check) come from boolean
 powers and degrees of the same stack.  `validate_complex` proves every link
-connected (B2) before this pass, which therefore re-checks none.
+connected (B2) before this pass, which therefore re-checks none; otherwise its
+offender is the smallest failing simplex, as a sorted vertex list, of the
+lowest dimension that has one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import functools
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,45 +45,31 @@ class PartiteComplex:
 
     vertex_types: dict[int, int]
     facets: tuple[frozenset[int], ...]
-    types: tuple[int, ...] = None
+    types: tuple[int, ...] = field(init=False)  # the sorted vertex types
 
     def __post_init__(self):
         vt = dict(self.vertex_types)
         facets = tuple(map(frozenset, self.facets))
         if not facets:
             raise ValidationError("a complex needs at least one facet")
-        types = self.types
-        if types is None:
-            types = tuple(sorted(set(vt.values())))
-        else:
-            types = tuple(sorted(types))
-        extra = set(vt.values()).difference(types)
-        if extra:
-            raise ValidationError(f"vertex types {sorted(extra)} missing from type list")
-        # a facet's checks run in order, the duplicate check first, so the
-        # error names the first bad facet; duplicates are rare, so they are
-        # found by set size and looked for only to name the offender
-        bad = len(facets)
-        if len(set(facets)) < bad:
-            seen = set()
-            for bad, f in enumerate(facets):
-                if f in seen:
-                    break
-                seen.add(f)
+        types = tuple(sorted(set(vt.values())))
+        # a facet as large as its count of distinct types, which is the type
+        # count, has one vertex of each type
+        seen = set()
         declared = vt.keys()
-        expected = list(types)
-        for f in facets[:bad]:
+        width = len(types)
+        for f in facets:
+            if f in seen:
+                raise ValidationError(f"duplicate facet {sorted(f)}")
+            seen.add(f)
             if not declared >= f:
                 unknown = [v for v in f if v not in vt]
                 raise ValidationError(f"facet {sorted(f)} uses undeclared vertices {unknown}")
-            ftypes = sorted(map(vt.__getitem__, f))
-            if ftypes != expected:
+            if len(f) != width or len(set(map(vt.__getitem__, f))) != width:
                 raise ValidationError(
                     f"facet {sorted(f)} must have exactly one vertex of each type "
-                    f"{expected}, got types {ftypes}"
+                    f"{list(types)}, got types {sorted(map(vt.__getitem__, f))}"
                 )
-        if bad < len(facets):
-            raise ValidationError(f"duplicate facet {sorted(facets[bad])}")
         object.__setattr__(self, "vertex_types", vt)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "types", types)
@@ -114,20 +103,6 @@ class PartiteComplex:
             groups.setdefault(f & kept, []).append(idx)
         return groups
 
-    def simplices(self, k: int) -> frozenset[frozenset[int]]:
-        """All k-dimensional simplices; k = -1 gives the empty simplex."""
-        if k < -1 or k > self.n:
-            return frozenset()
-        return frozenset(
-            face for ts in itertools.combinations(self.types, k + 1) for face in self.faces(ts)
-        )
-
-    def type_of(self, sigma) -> frozenset[int]:
-        return frozenset(self.vertex_types[v] for v in sigma)
-
-    def contains(self, sigma) -> bool:
-        return bool(self.star(frozenset(sigma)))
-
 
 def load_complex(data) -> PartiteComplex:
     """Build a complex from a dict with fields n, vertices, facets."""
@@ -151,7 +126,12 @@ def load_complex(data) -> PartiteComplex:
     for i, f in enumerate(facets):
         if not isinstance(f, list):
             raise InputFormatError(f"facets[{i}] must be a list of vertex ids, got {f!r}")
-        cells.append(frozenset(_json_int(v, f"facets[{i}][{j}]") for j, v in enumerate(f)))
+        ids = [_json_int(v, f"facets[{i}][{j}]") for j, v in enumerate(f)]
+        cell = frozenset(ids)
+        if len(cell) < len(ids):
+            repeated = next(v for j, v in enumerate(ids) if v in ids[:j])
+            raise InputFormatError(f"facets[{i}] repeats vertex id {repeated}")
+        cells.append(cell)
     try:
         x = PartiteComplex(vertex_types, tuple(cells))
     except ValidationError as exc:
@@ -197,19 +177,17 @@ def _finite_number(v) -> bool:
 
 
 def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
-    """Link of a simplex: faces disjoint from sigma whose union with it is in X."""
+    """Link of a simplex: faces disjoint from sigma whose union with it is in
+    X, in the order of the facets of X they lie in."""
     s = frozenset(sigma)
     if not s:
         return x
     star = x.star(s)
     if not star:
         raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
-    sigma_types = x.type_of(s)
-    remaining = tuple(t for t in x.types if t not in sigma_types)
-    link_facets = tuple(sorted((x.facets[idx] - s for idx in star), key=sorted))
-    used = set().union(*link_facets) if remaining else set()
-    vt = {v: x.vertex_types[v] for v in used}
-    return PartiteComplex(vt, link_facets, types=remaining)
+    link_facets = tuple(x.facets[idx] - s for idx in sorted(star))
+    used = set().union(*link_facets)
+    return PartiteComplex({v: x.vertex_types[v] for v in used}, link_facets)
 
 
 def bfs_distances(start, neighbors) -> dict:
@@ -356,15 +334,16 @@ def validate_complex(x: PartiteComplex) -> ComplexValidation:
     """Report the checkable structure conditions for a complex."""
     used = set().union(*x.facets)
     orphans = tuple(sorted(v for v in x.vertex_types if v not in used))
-    b2 = True
     offender = None
-    for k in range(-1, x.n - 1):
-        for sigma in sorted(x.simplices(k), key=sorted):
-            if not gallery_connected(link_of(x, sigma)):
-                b2 = False
-                offender = tuple(sorted(sigma))
-                break
-        if not b2:
+    for size in range(x.n):
+        failing = [
+            sorted(sigma)
+            for ts in itertools.combinations(x.types, size)
+            for sigma in x.faces(ts)
+            if not gallery_connected(link_of(x, sigma))
+        ]
+        if failing:
+            offender = tuple(min(failing))
             break
     return ComplexValidation(
         partite=True,  # enforced at construction
@@ -372,7 +351,7 @@ def validate_complex(x: PartiteComplex) -> ComplexValidation:
         orphan_vertices=orphans,
         b1_links_finite=True,
         b1_note="finite input data: every link is finite",
-        b2_links_gallery_connected=b2,
+        b2_links_gallery_connected=offender is None,
         b2_offender=offender,
     )
 

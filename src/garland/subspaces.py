@@ -148,14 +148,15 @@ def angle_cos(u: Subspace, v: Subspace) -> float:
     1 - `INTERSECT_TOL`, so the shared directions are removed first; 0 when
     there is none, in particular when one subspace contains the other (the
     zero subspace is contained in everything).  The cosines are read from
-    the cross-Gram on the side of the smaller subspace, so swapping two
-    arguments of different dimensions gives the same bits.
+    the cross-Gram on the side of the smaller subspace, the one whose basis
+    bytes come first between equal dimensions, so swapping the two
+    arguments gives the same bits.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-    if u.dim > v.dim:
+    if (u.dim, u.basis.tobytes()) > (v.dim, v.basis.tobytes()):
         u, v = v, u
     if u.dim == 0:
         return 0.0

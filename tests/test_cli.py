@@ -262,6 +262,12 @@ MALFORMED = {
     "complex-facet-not-list": (
         "analyze-complex", '{"vertices": [{"id": 0, "type": 0}], "facets": [5]}', "facets[0]",
     ),
+    "complex-facet-repeats-a-vertex": (
+        "analyze-complex",
+        '{"n": 1, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 0},'
+        ' {"id": 3, "type": 1}], "facets": [[0, 0, 1], [0, 3], [2, 1], [2, 3]]}',
+        "facets[0] repeats vertex id 0",
+    ),
     "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
     "simplex-vertex-norm-overflow": (
         "spherical-simplex", '{"vertices": [[1e308, 0.0], [0.0, 1.0]]}', "unit vectors",

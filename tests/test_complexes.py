@@ -63,11 +63,11 @@ def test_loader_errors():
 def test_simplex_counts():
     x = octahedron()
     assert x.n == 2
-    assert len(x.simplices(-1)) == 1
-    assert len(x.simplices(0)) == 6
-    assert len(x.simplices(1)) == 12
-    assert len(x.simplices(2)) == 8
-    assert len(x.simplices(3)) == 0
+    counts = [
+        sum(len(x.faces(ts)) for ts in itertools.combinations(x.types, k + 1))
+        for k in range(-1, 3)
+    ]
+    assert counts == [1, 6, 12, 8]
 
 
 def test_links():
@@ -106,6 +106,30 @@ def test_validate_complex_reports():
 
     bowtie = g.validate_complex(g.load_complex(load_fixture("bowtie.json")))
     assert bowtie.b2_offender == ()
+
+
+def two_pinched_octahedra(shared):
+    """Two pinched octahedra, the second listed first.  The first is the
+    fixture, whose vertex 0 has a disconnected link; the second is its copy
+    with vertex v renamed 10 + v, except that the vertices in `shared` are
+    kept, so its failing vertex 10 is the larger one."""
+    doc = load_fixture("pinched_octahedron.json")
+    rename = {v: v if v in shared else 10 + v for v in range(6)}
+    vt = {entry["id"]: entry["type"] for entry in doc["vertices"]}
+    vt.update((rename[v], t) for v, t in list(vt.items()))
+    copy = [frozenset(map(rename.get, f)) for f in doc["facets"]]
+    return g.PartiteComplex(vt, (*copy, *map(frozenset, doc["facets"])))
+
+
+def test_b2_offender_is_the_smallest_failing_simplex():
+    x = two_pinched_octahedra(shared={1, 2})  # glued along the edge {1, 2}
+    assert next(iter(x.faces([0]))) == frozenset({10})  # met before {0}
+    assert gallery_connected(x)
+    v = g.validate_complex(x)
+    assert not v.b2_links_gallery_connected
+    assert v.b2_offender == (0,)
+    apart = g.validate_complex(two_pinched_octahedra(shared=set()))
+    assert apart.b2_offender == ()
 
 
 def test_thickness():
@@ -307,14 +331,10 @@ def test_facet_index_matches_brute_force(x):
                 face = frozenset(v for v in f if x.vertex_types[v] in ts)
                 expected[face] = [i for i, h in enumerate(facets) if face <= h]
             assert x.faces(ts) == expected
-    for k in range(-1, x.n + 2):
-        expected = {frozenset(c) for f in facets for c in itertools.combinations(f, k + 1)}
-        assert x.simplices(k) == expected
-    assert x.simplices(-2) == frozenset()
     candidates = [frozenset(c) for k in range(3) for c in itertools.combinations(x.vertex_types, k)]
     candidates.append(frozenset({max(x.vertex_types) + 1}))
     for sigma in candidates:
-        assert x.contains(sigma) == any(sigma <= f for f in facets)
+        assert bool(x.star(sigma)) == any(sigma <= f for f in facets)
     panels = {frozenset(c) for f in facets for c in itertools.combinations(f, x.n)}
     assert g.thickness(x) == min(sum(p <= f for f in facets) for p in panels)
 
