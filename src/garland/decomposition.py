@@ -9,9 +9,14 @@ eta inside tau really decompose H_tau as a direct sum.
 `build_lattice` fills H_tau from the top down: the full index set gets the
 full space, an index set missing one index i gets V_i, and every other tau
 gets H_{tau + hi} cut with V_hi, hi being the highest index outside tau.
-That is one intersection for each index set with two or more indices
-outside it, and each H_tau comes out as the left-to-right intersection of
-the V_i outside tau.
+Each H_tau comes out as the left-to-right intersection of the V_i outside
+tau.  These parents form a tree, walked one level (count of indices outside)
+at a time with one `intersect` call that stacks the level's pairs.  Every
+H_tau below a zero one is zero, so the walk never enters the subtree of a
+zero H_tau, and all zero H_tau are one shared zero subspace: n+1 lines of
+R^(n+1) intersect their C(n+1, 2) pairs only, where n+1 hyperplanes
+intersect one pair for each of the 2^(n+1) - n - 2 index sets with two or
+more indices outside them.
 
 H_eta lies in H_{tau - i} whenever eta lies in tau - i, so the smaller H_eta
 together span what the |tau| maximal ones H_{tau - i} span, and only those
@@ -37,11 +42,12 @@ from .linalg import left_singular, orthonormalize
 from .subspaces import Subspace, SubspaceFamily, intersect
 
 # the lattice has 2^(n+1) index sets.  Building it and verifying every index
-# set takes 0.17-0.40 s at n = 13 for n+1 lines or planes of R^(n+1), on a
-# 2-CPU machine.  Families whose H_tau are all nonzero cost about twice as
-# much per step of n: n+1 hyperplanes of R^(n+1) take 0.6-1.2 s at n = 11,
-# 1.4-2.4 s at n = 12 and 2.8-5.2 s at n = 13, so the cap bounds n, not the
-# work
+# set takes 0.13-0.19 s at n = 13 for n+1 lines or planes of R^(n+1), on a
+# 2-CPU machine, most of it in the verifier, since the build stops at the
+# zero pairwise intersections.  Families whose H_tau are all nonzero cost
+# about twice as much per step of n: n+1 hyperplanes of R^(n+1) take
+# 0.6-0.9 s at n = 11, 1.2-1.7 s at n = 12 and 2.7-3.8 s at n = 13, so the
+# cap bounds n, not the work
 MAX_FAMILY_N = 13
 # the work grows about as ambient_dim^3: three random planes in R^512 take
 # 0.11-0.17 s to build and verify and in R^1024 0.7-0.9 s, and the identity
@@ -84,7 +90,7 @@ class SubspaceLattice:
     components: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        nonzero = tuple(mask for mask in sorted(self.h_upper) if self.h_upper[mask].dim)
+        nonzero = tuple(sorted(mask for mask, h in self.h_upper.items() if h.dim))
         object.__setattr__(self, "components", nonzero)
 
     @property
@@ -118,25 +124,32 @@ def build_lattice(family: SubspaceFamily) -> SubspaceLattice:
             f"families with n > {MAX_FAMILY_N} are not supported, got n = {n} "
             f"({1 << (n + 1)} index sets)"
         )
+    members = family.members
     full = (1 << (n + 1)) - 1
-    masks = sorted(range(full + 1), key=lambda m: (m.bit_count(), m))
-    top_down: dict[int, Subspace] = {}
-    for mask in reversed(masks):
-        outside = full ^ mask
-        hi = outside.bit_length() - 1
-        if outside == 0:
-            top_down[mask] = Subspace.full(family.ambient_dim)
-        elif outside == 1 << hi:
-            top_down[mask] = family.members[hi]
-        else:
-            top_down[mask] = intersect(top_down[mask | 1 << hi], family.members[hi])
-    lower = {mask: top_down[mask] for mask in masks}
-    upper = {}
-    for mask, h in lower.items():
-        # a zero H_tau is its own H^tau, and most H_tau of sparse families are
-        # zero, so their maximal lists are not built
-        maximal = [lower[mask ^ 1 << i].basis for i in indices_of(mask)] if h.dim else []
-        upper[mask] = _h_sup_tau(h, maximal)
+    zero = Subspace.zero(family.ambient_dim)
+    nonzero = {full: Subspace.full(family.ambient_dim)}
+    # (mask, hi) for each nonzero H_tau of the current level, hi being the
+    # highest index outside tau; its children drop one index above hi
+    level = []
+    for i, member in enumerate(members):
+        if member.dim:
+            nonzero[full ^ 1 << i] = member
+            level.append((full ^ 1 << i, i))
+    while children := [(mask, j) for mask, hi in level for j in range(hi + 1, n + 1)]:
+        spaces = intersect(
+            [nonzero[mask] for mask, _ in children], [members[j] for _, j in children]
+        )
+        level = []
+        for (mask, j), h in zip(children, spaces):
+            if h.dim:
+                nonzero[mask ^ 1 << j] = h
+                level.append((mask ^ 1 << j, j))
+    # a zero H_tau is its own H^tau
+    lower = dict.fromkeys(sorted(range(full + 1), key=lambda m: (m.bit_count(), m)), zero)
+    lower.update(nonzero)
+    upper = dict(lower)
+    for mask, h in nonzero.items():
+        upper[mask] = _h_sup_tau(h, [lower[mask ^ 1 << i].basis for i in indices_of(mask)])
     return SubspaceLattice(family=family, h_lower=lower, h_upper=upper)
 
 

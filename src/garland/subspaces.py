@@ -10,11 +10,15 @@ the singular values of B_U^T B_V (Bjorck and Golub, Math. Comp. 27, 1973;
 Golub and Van Loan, Matrix Computations, section 6.4.3): the principal
 vectors whose cosine is within `INTERSECT_TOL` of 1 span the intersection,
 and the angle cosine is the largest principal cosine below that cut.
+Pairs of equal dimensions share one stacked eigensolve: `intersect` also
+takes two sequences of subspaces, and `cosine_matrix_of_family` reads all
+its pairs at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +40,18 @@ class Subspace:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValidationError("ambient dimension must be at least 1")
-        b = np.array(self.basis, dtype=float)
+        # one memory layout for every basis: BLAS may round a product of
+        # differently laid out operands differently, and the stacked kernels
+        # must give each pair the bits of its one-pair call
+        b = np.array(self.basis, dtype=float, order="C")
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValidationError(
                 f"basis must be shaped ({self.ambient_dim}, k), got {b.shape}"
             )
         if b.shape[1] > 0:
+            # a NaN fails no tolerance comparison, so it is refused by name
+            if not np.all(np.isfinite(b)):
+                raise ValidationError("basis entries must be finite")
             gram = b.T @ b
             if max_abs(gram - np.eye(b.shape[1])) > GRAM_TOL:
                 raise ValidationError("basis columns are not orthonormal within 1e-10")
@@ -117,28 +127,80 @@ class CosineMatrix:
         return float(sym_eigs(self.matrix).eigenvalues[0])
 
 
-def _principal_cosines(u: Subspace, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Squared principal cosines of U against V, ascending, one per basis
-    vector of U, with the matching U-side principal vectors as columns."""
-    cross = u.basis.T @ v.basis
-    spec = sym_eigs(cross @ cross.T, want_vectors=True)
-    return spec.eigenvalues, u.basis @ spec.eigenvectors
+def _principal_cosines(pairs, want_vectors: bool = False):
+    """Squared principal cosines of each U against its V, for pairs (U, V)
+    with dim U >= 1.
 
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection of two subspaces.
-
-    Spanned by the principal vectors of U whose principal cosine against V
-    is at least 1 - `INTERSECT_TOL`, the cut `angle_cos` applies.
+    The pairs are grouped by their pair of dimensions, and each group is one
+    stacked `sym_eigs` of the cross-Grams (B_U^T B_V)(B_U^T B_V)^T.  Yields,
+    per group, the indices of its pairs, their cosines (one row per pair,
+    ascending, one per basis vector of U) and, when `want_vectors` is set,
+    the matching U-side principal vectors as columns.  The eigensolve always
+    takes eigenvectors, so the cosines have the same bits either way.
     """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (u, v) in enumerate(pairs):
+        groups.setdefault((u.dim, v.dim), []).append(k)
+    for ks in groups.values():
+        us = np.stack([pairs[k][0].basis for k in ks])
+        cross = us.transpose(0, 2, 1) @ np.stack([pairs[k][1].basis for k in ks])
+        spec = sym_eigs(cross @ cross.transpose(0, 2, 1), want_vectors=True)
+        yield ks, spec.eigenvalues, us @ spec.eigenvectors if want_vectors else None
+
+
+def _check_ambient(u: Subspace, v: Subspace, where: str = "") -> None:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
+            f"{where}ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    cos2, vectors = _principal_cosines(u, v)
-    return Subspace(u.ambient_dim, vectors[:, cos2 >= (1.0 - INTERSECT_TOL) ** 2])
+
+
+def intersect(
+    u: Subspace | Sequence[Subspace], v: Subspace | Sequence[Subspace]
+) -> Subspace | list[Subspace]:
+    """Intersection of two subspaces, or of each pair of two equal-length
+    sequences of subspaces (a list of intersections).
+
+    Spanned by the principal vectors of U whose principal cosine against V
+    is at least 1 - `INTERSECT_TOL`, the cut `angle_cos` applies.  A
+    sequence makes one stacked eigensolve per pair of dimensions, and one
+    pair is its one-element case, so both give the same bits.
+    """
+    one = isinstance(u, Subspace)
+    if one != isinstance(v, Subspace):
+        raise ValidationError("intersect takes two subspaces or two sequences of subspaces")
+    us, vs = ([u], [v]) if one else (list(u), list(v))
+    if len(us) != len(vs):
+        raise DimensionMismatchError(f"sequences differ in length: {len(us)} vs {len(vs)}")
+    live = []
+    for k, (a, b) in enumerate(zip(us, vs)):
+        _check_ambient(a, b, "" if one else f"pair {k}: ")
+        if a.dim and b.dim:
+            live.append(k)
+    out = [None] * len(us)
+    cut = (1.0 - INTERSECT_TOL) ** 2
+    for ks, cos2, vectors in _principal_cosines([(us[k], vs[k]) for k in live], want_vectors=True):
+        for k, c, vec in zip(ks, cos2, vectors):
+            out[live[k]] = Subspace(vec.shape[0], vec[:, c >= cut])
+    out = [Subspace.zero(a.ambient_dim) if w is None else w for a, w in zip(us, out)]
+    return out[0] if one else out
+
+
+def _angle_cosines(pairs) -> list[float]:
+    """`angle_cos` of each pair (U, V), already ordered smaller side first."""
+    out = [0.0] * len(pairs)
+    live = [k for k, (u, _) in enumerate(pairs) if u.dim]
+    cut = (1.0 - INTERSECT_TOL) ** 2
+    for ks, cos2, _ in _principal_cosines([pairs[k] for k in live]):
+        # each row ascends, so the cosines below the cut are a prefix
+        for k, row, below in zip(ks, cos2, np.count_nonzero(cos2 < cut, axis=-1)):
+            if below:
+                out[live[k]] = math.sqrt(max(float(row[below - 1]), 0.0))
+    return out
+
+
+def _smaller_first(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
+    return (v, u) if (u.dim, u.basis.tobytes()) > (v.dim, v.basis.tobytes()) else (u, v)
 
 
 def angle_cos(u: Subspace, v: Subspace) -> float:
@@ -152,28 +214,20 @@ def angle_cos(u: Subspace, v: Subspace) -> float:
     bytes come first between equal dimensions, so swapping the two
     arguments gives the same bits.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if (u.dim, u.basis.tobytes()) > (v.dim, v.basis.tobytes()):
-        u, v = v, u
-    if u.dim == 0:
-        return 0.0
-    cos2, _ = _principal_cosines(u, v)
-    below = cos2[cos2 < (1.0 - INTERSECT_TOL) ** 2]
-    return math.sqrt(max(float(below[-1]), 0.0)) if below.size else 0.0
+    _check_ambient(u, v)
+    return _angle_cosines([_smaller_first(u, v)])[0]
 
 
 def cosine_matrix_of_family(family: SubspaceFamily) -> CosineMatrix:
-    """Cosine matrix of a family: unit diagonal, -angle_cos off the diagonal."""
-    k = family.n + 1
+    """Cosine matrix of a family: unit diagonal, -angle_cos off the diagonal,
+    with the cosines of all pairs of one shape from one stacked eigensolve."""
+    members = family.members
+    k = len(members)
+    index = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cosines = _angle_cosines([_smaller_first(members[i], members[j]) for i, j in index])
     a = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = -angle_cos(family.members[i], family.members[j])
-            a[i, j] = c
-            a[j, i] = c
+    for (i, j), c in zip(index, cosines):
+        a[i, j] = a[j, i] = -c
     return CosineMatrix(a)
 
 

@@ -161,7 +161,16 @@ def lattice_families():
 
 
 def test_lattice_bases_equal_the_one_mask_functions_bit_for_bit():
-    for fam in lattice_families():
+    # sparse lines, whose zero pairs cut off every deeper intersection, and
+    # an empty spanning list, a zero member from the start
+    lines = random_family(11, 8, 7, [1] * 8)
+    empty_listed = g.load_family(
+        {
+            "ambient_dim": 3,
+            "subspaces": [[[1, 0, 0], [0, 1, 0]], [], [[0, 1, 1]], [[1, 1, 0], [0, 0, 1]]],
+        }
+    )
+    for fam in [*lattice_families(), lines, empty_listed]:
         lattice = build_lattice(fam)
         masks = sorted(range(1 << (fam.n + 1)), key=lambda m: (m.bit_count(), m))
         assert list(lattice.h_lower) == masks
@@ -287,19 +296,39 @@ def test_verify_equals_the_reference_that_stacks_every_submask():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 5])
-def test_build_lattice_makes_one_intersection_per_index_set(monkeypatch, n):
+def intersected_pairs(monkeypatch, fam) -> list[int]:
+    """The number of pairs of each `intersect` call `build_lattice` makes."""
     calls = []
     real = decomposition.intersect
 
-    def counted(u, v):
-        calls.append(1)
-        return real(u, v)
+    def counted(us, vs):
+        calls.append(len(us))
+        return real(us, vs)
 
     monkeypatch.setattr(decomposition, "intersect", counted)
-    build_lattice(random_family(n, n + 1, n, [n] * (n + 1)))
-    # every index set with at least two indices outside it
-    assert len(calls) == 2 ** (n + 1) - n - 2
+    build_lattice(fam)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_build_lattice_intersects_every_pair_of_a_dense_family(monkeypatch, n):
+    # n+1 hyperplanes of R^(n+1): every H_tau is nonzero, so every index set
+    # with at least two indices outside it is one intersected pair
+    calls = intersected_pairs(monkeypatch, random_family(n, n + 1, n, [n] * (n + 1)))
+    assert sum(calls) == 2 ** (n + 1) - n - 2
+    assert len(calls) <= n  # one call per level with two or more outside
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_build_lattice_skips_the_subtrees_of_zero_intersections(monkeypatch, n):
+    # n+1 lines of R^(n+1) meet pairwise in 0, so below the pairs nothing is
+    # intersected: C(n+1, 2) pairs, 45 at n = 9 against 1013 index sets
+    fam = random_family(40 + n, n + 1, n, [1] * (n + 1))
+    calls = intersected_pairs(monkeypatch, fam)
+    assert calls == [math.comb(n + 1, 2)]
+    lattice = build_lattice(fam)
+    zeros = {id(h) for h in lattice.h_lower.values() if h.dim == 0}
+    assert len(zeros) == 1  # one shared zero subspace
 
 
 _rows = st.lists(st.lists(json_scalars, min_size=1, max_size=3), max_size=3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import garland as g
 from garland import subspaces
 from garland.complexes import _number_table
-from garland.errors import GarlandError, SingularityError, ValidationError
+from garland.errors import DimensionMismatchError, GarlandError, SingularityError, ValidationError
 from garland.linalg import max_abs
 from garland.subspaces import INTERSECT_TOL
 
@@ -183,6 +183,55 @@ def test_intersect_and_angle_cos_make_one_eigensolve(monkeypatch):
     assert len(calls) == 1
     assert abs(g.angle_cos(u, v) - math.cos(t)) <= 1e-12
     assert len(calls) == 2
+
+
+def test_sequence_intersect_equals_the_pairwise_calls_bit_for_bit():
+    rng = np.random.default_rng(29)
+    spaces = [g.Subspace.zero(6), g.Subspace.full(6)]
+    spaces += [g.Subspace.from_spanning(6, rng.standard_normal((k, 6))) for k in (1, 2, 3, 4, 5, 5)]
+    spaces.append(g.intersect(spaces[-1], spaces[-2]))  # a shared 4-space
+    us = [a for a in spaces for _ in spaces]
+    vs = [b for _ in spaces for b in spaces]
+    together = g.intersect(us, vs)
+    assert len(together) == len(us)
+    assert {(u.dim, v.dim) for u, v in zip(us, vs)} >= {(0, 3), (3, 0), (2, 5), (5, 5)}
+    for u, v, w in zip(us, vs, together):
+        alone = g.intersect(u, v)
+        assert w.basis.shape == alone.basis.shape
+        assert w.basis.tobytes() == alone.basis.tobytes()
+    assert g.intersect([], []) == []
+
+
+def test_sequence_intersect_refuses_a_bad_pair():
+    plane = g.Subspace.full(2)
+    with pytest.raises(DimensionMismatchError, match="pair 1: ambient dimensions differ: 2 vs 3"):
+        g.intersect([plane, plane], [plane, g.Subspace.full(3)])
+    with pytest.raises(DimensionMismatchError, match="differ in length"):
+        g.intersect([plane, plane], [plane])
+    with pytest.raises(ValidationError):
+        g.intersect(plane, [plane])
+
+
+def test_subspace_refuses_a_non_finite_basis():
+    # a NaN Gram passes the orthonormality tolerance, since nan > tol is False
+    for basis in (np.full((3, 1), np.nan), np.array([[math.inf], [0.0], [0.0]])):
+        with pytest.raises(ValidationError, match="basis entries must be finite"):
+            g.Subspace(3, basis)
+
+
+def test_cosine_matrix_of_family_equals_angle_cos_bit_for_bit():
+    rng = np.random.default_rng(31)
+    members = [g.Subspace.zero(5), g.Subspace.full(5)]
+    members += [
+        g.Subspace.from_spanning(5, rng.standard_normal((k, 5))) for k in (1, 2, 2, 3, 3, 4)
+    ]
+    members.append(g.intersect(members[-1], members[-2]))  # inside both 3-spaces
+    fam = g.SubspaceFamily(5, tuple(members))
+    m = g.cosine_matrix_of_family(fam).matrix
+    for i, u in enumerate(members):
+        for j, v in enumerate(members):
+            if i != j:
+                assert m[i, j] == -g.angle_cos(u, v)
 
 
 def test_cosine_matrix_validation():
