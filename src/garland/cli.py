@@ -96,8 +96,7 @@ def _matrix_entry(v):
     return None if v == math.inf else int(v)
 
 
-def cmd_analyze_coxeter(args) -> dict:
-    raw, data = _load_json(args.input)
+def cmd_analyze_coxeter(args, data) -> tuple[dict, list[str]]:
     cox = load_coxeter_matrix(data)
     c = coxeter_cosine(cox)
     spectrum = sym_eigs(c.matrix)
@@ -116,12 +115,13 @@ def cmd_analyze_coxeter(args) -> dict:
         report = crit.vanishing_report(cox, args.thickness)
         result["vanishing"] = to_jsonable(report)
         if report.borderline:
-            warnings.append("criterion comparison is within 1e-12 of the threshold")
-    return _envelope("analyze-coxeter", args, raw, result, warnings)
+            warnings.append(
+                f"criterion comparison is within {crit.BORDERLINE_TOL:g} of the threshold"
+            )
+    return result, warnings
 
 
-def cmd_analyze_complex(args) -> dict:
-    raw, data = _load_json(args.input)
+def cmd_analyze_complex(args, data) -> tuple[dict, list[str]]:
     x = load_complex(data)
     report = cosine_matrix_of_complex(x)
     warnings = []
@@ -157,13 +157,12 @@ def cmd_analyze_complex(args) -> dict:
         ],
         "convention": report.convention,
     }
-    return _envelope("analyze-complex", args, raw, result, warnings)
+    return result, warnings
 
 
-def cmd_decompose(args) -> dict:
+def cmd_decompose(args, data) -> tuple[dict, list[str]]:
     if not math.isfinite(args.tol):
         raise ValidationError(f"--tol must be a finite number, got {args.tol}")
-    raw, data = _load_json(args.input)
     family = load_family(data)
     n = family.n
     lattice = build_lattice(family)
@@ -201,11 +200,10 @@ def cmd_decompose(args) -> dict:
         "checks": checks,
         "all_hold": all(c["holds"] for c in checks),
     }
-    return _envelope("decompose", args, raw, result, warnings)
+    return result, warnings
 
 
-def cmd_spherical_simplex(args) -> dict:
-    raw, data = _load_json(args.input)
+def cmd_spherical_simplex(args, data) -> tuple[dict, list[str]]:
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("simplex document needs a list field 'vertices'")
     family = spherical_face_family(_number_table(data["vertices"], "vertices"))
@@ -232,17 +230,17 @@ def cmd_spherical_simplex(args) -> dict:
             "agrees_within_1e_9": dev <= 1e-9,
             "text": f"max |A - reference| = {dev:.3e}",
         }
-    return _envelope("spherical-simplex", args, raw, result, warnings)
+    return result, warnings
 
 
-def _envelope(subcommand: str, args, raw: bytes, result: dict, warnings: list[str]) -> dict:
+def _envelope(args, raw: bytes, result: dict, warnings: list[str]) -> dict:
     options = {}
     for name in ("thickness", "min_thickness", "tau", "tol", "seed"):
         if hasattr(args, name):
             options[name.replace("_", "-")] = getattr(args, name)
     return {
         "tool": "garland",
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "input": args.input,
         "input_digest": input_digest(raw),
         "options": options,
@@ -266,13 +264,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _COMMANDS[args.subcommand](args)
+        raw, data = _load_json(args.input)
+        result, warnings = _COMMANDS[args.subcommand](args, data)
     except CriterionInapplicableError as exc:
         print(f"garland: criterion inapplicable: {exc}", file=sys.stderr)
         return 2
     except GarlandError as exc:
         print(f"garland: error: {exc}", file=sys.stderr)
         return 1
+    report = _envelope(args, raw, result, warnings)
     if args.format == "json":
         print(render_json(report))
     else:

@@ -3,11 +3,12 @@
 A complex is stored by its facets.  Its types are those of its vertices, and
 one pass in facet order checks that each facet is new, declared, and holds
 one vertex of each type, so an error names the first bad facet.  Queries go
-through two derived views.  The star of a vertex, the indices of the facets
-containing it, is built once on first use: a simplex is in the complex when
-the stars of its vertices meet, and its link is read off their intersection.
-`faces(types)` groups the facets by their face of one type set, listing the
-simplices of that type with their facets.  A link is again a partite
+through one index: `faces(types)` groups the facets by their face of one type
+set, listing the simplices of that type with the indices of their facets in
+facet order.  The star of a simplex, the facets containing it, is its entry in
+the grouping of its own type set, and its link is read off that star.  A
+complex keeps only its last grouping, so the links taken for the faces of one
+type set read their stars from one facet scan.  A link is again a partite
 complex; a 1-dimensional one is a bipartite graph whose edges are its facets.
 
 The cosine matrix of an n-dimensional complex collects, for every unordered
@@ -24,7 +25,6 @@ lowest dimension that has one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -46,6 +46,8 @@ class PartiteComplex:
     vertex_types: dict[int, int]
     facets: tuple[frozenset[int], ...]
     types: tuple[int, ...] = field(init=False)  # the sorted vertex types
+    # the last (type set, grouping) pair that faces() built
+    _last_faces: list = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
         vt = dict(self.vertex_types)
@@ -79,28 +81,28 @@ class PartiteComplex:
         """Dimension: facets are (n+1)-sets."""
         return len(self.types) - 1
 
-    @functools.cached_property
-    def _vertex_stars(self) -> dict[int, frozenset[int]]:
-        stars: dict[int, list[int]] = {v: [] for v in self.vertex_types}
-        for idx, f in enumerate(self.facets):
-            for v in f:
-                stars[v].append(idx)
-        return {v: frozenset(members) for v, members in stars.items()}
-
-    def star(self, sigma) -> frozenset[int]:
-        """Indices of the facets containing sigma; empty when sigma is not a simplex."""
-        if not sigma:
-            return frozenset(range(len(self.facets)))
-        stars = self._vertex_stars
-        return frozenset.intersection(*(stars.get(v, frozenset()) for v in sigma))
+    def star(self, sigma) -> list[int]:
+        """Indices of the facets containing sigma, in facet order, read from
+        the grouping of its type set; empty when sigma is not a simplex."""
+        s = frozenset(sigma)
+        # no face has an undeclared vertex (type None) or two of one type
+        return self.faces({self.vertex_types.get(v) for v in s}).get(s, [])
 
     def faces(self, types) -> dict[frozenset[int], list[int]]:
-        """Each face of the given type set, mapped to the indices of its facets."""
+        """Each face of the given type set, mapped to the indices of its facets.
+
+        The grouping of the last type set asked for is kept and returned
+        again, so callers must not change it.
+        """
         keep = frozenset(types)
+        last = self._last_faces
+        if last and last[0] == keep:
+            return last[1]
         kept = frozenset(v for v, t in self.vertex_types.items() if t in keep)
         groups: dict[frozenset[int], list[int]] = {}
         for idx, f in enumerate(self.facets):
             groups.setdefault(f & kept, []).append(idx)
+        last[:] = (keep, groups)
         return groups
 
 
@@ -185,7 +187,7 @@ def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
     star = x.star(s)
     if not star:
         raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
-    link_facets = tuple(x.facets[idx] - s for idx in sorted(star))
+    link_facets = tuple(x.facets[idx] - s for idx in star)
     used = set().union(*link_facets)
     return PartiteComplex({v: x.vertex_types[v] for v in used}, link_facets)
 

@@ -67,7 +67,8 @@ class CoxeterMatrix:
             out = []
             for j, raw in enumerate(row):
                 if raw != math.inf:
-                    if raw != int(raw):
+                    # nan and -inf have no int(), and nan alone differs from itself
+                    if raw != raw or raw == -math.inf or raw != int(raw):
                         raise ValidationError(f"m[{i}][{j}] = {raw} is not an integer or inf")
                     raw = int(raw)
                     try:

@@ -24,12 +24,18 @@ from .errors import (
 from .linalg import as_symmetric_matrix, sym_eigs
 from .subspaces import CosineMatrix
 
-ALLOWED_GONALITIES = (2, 3, 4, 6, 8)
+# 2 cos(pi/m) for each gonality m that Feit-Higman allows a thick finite
+# generalized m-gon (J. Algebra 1, 1964)
+_TWO_COS = {
+    2: 0.0, 3: 1.0, 4: math.sqrt(2.0), 6: math.sqrt(3.0), 8: math.sqrt(2.0 + math.sqrt(2.0)),
+}
+ALLOWED_GONALITIES = tuple(_TWO_COS)
 BORDERLINE_TOL = 1e-12
 
 
 def _check_q(q) -> int:
-    if q != int(q):
+    # nan and the infinities have no int(), and nan alone differs from itself
+    if q != q or q in (math.inf, -math.inf) or q != int(q):
         raise ValidationError(f"q must be an integer, got {q}")
     q = int(q)
     if q < 2:
@@ -50,24 +56,15 @@ def threshold(q: int) -> float:
 def feit_higman_bound(m: int, q: int) -> float:
     """Upper bound for the walk eigenvalue of a thick generalized m-gon.
 
-    Only m in {2, 3, 4, 6, 8} admit thick finite generalized m-gons; the
-    bound is cos(pi/m) * 2*sqrt(q)/(q+1), written per gonality below.
+    Only the m in ALLOWED_GONALITIES admit thick finite generalized m-gons;
+    the bound is cos(pi/m) * 2*sqrt(q)/(q+1).
     """
     q = _check_q(q)
-    root = math.sqrt(q) / (q + 1)
-    if m == 2:
-        return 0.0
-    if m == 3:
-        return root
-    if m == 4:
-        return math.sqrt(2.0) * root
-    if m == 6:
-        return math.sqrt(3.0) * root
-    if m == 8:
-        return math.sqrt(2.0 + math.sqrt(2.0)) * root
-    raise FeitHigmanExcludedError(
-        f"gonality {m} excluded by Feit-Higman: no thick finite generalized {m}-gon exists"
-    )
+    if m not in _TWO_COS:
+        raise FeitHigmanExcludedError(
+            f"gonality {m} excluded by Feit-Higman: no thick finite generalized {m}-gon exists"
+        )
+    return _TWO_COS[m] * (math.sqrt(q) / (q + 1))
 
 
 def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndarray:
@@ -138,6 +135,45 @@ class DegreeVerdict:
     unverified_hypotheses: tuple[str, ...] = ()
 
 
+_BASE_HYPOTHESES = (
+    "X is an n-dimensional building of this type with n = {n}",
+    "all 1-dimensional links of X are finite",
+    "X has thickness at least q+1 = {q1}",
+    "G is the BN-pair group acting on X",
+)
+# The verdict families in report order, each stated for every intermediate
+# degree k: (kind, statement, hypotheses, unverified hypotheses), as templates
+# in k, n and q1 = q + 1.  The affine family applies to affine types only,
+# where every proper link of the building is finite.
+_VERDICT_FAMILIES = (
+    (
+        "building_cohomology",
+        "H^{k}(X, pi) = 0 for every continuous unitary representation pi of G",
+        _BASE_HYPOTHESES,
+        (),
+    ),
+    (
+        "group_cohomology",
+        "H^i(G, pi) = 0 for every 1 <= i <= {k} and every continuous "
+        "unitary representation pi of G",
+        _BASE_HYPOTHESES,
+        (
+            "all {k}-dimensional links of X are finite "
+            "(building data; not derivable from the relation orders)",
+        ),
+    ),
+    (
+        "group_cohomology_affine",
+        "H^{k}(G, pi) = 0 for every continuous unitary representation pi of G",
+        (
+            "X is the n-dimensional affine building of the BN-pair of G, n = {n}",
+            "X is non-thin (thickness at least q+1 = {q1} >= 3)",
+        ),
+        (),
+    ),
+)
+
+
 @dataclass(frozen=True)
 class VanishingReport:
     coxeter_class: str
@@ -190,58 +226,19 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     lower_min = float(sym_eigs(lower).eigenvalues[0])
     coxeter_class = classify_coxeter(cox)
 
-    base_hypotheses = (
-        f"X is an n-dimensional building of this type with n = {n}",
-        "all 1-dimensional links of X are finite",
-        f"X has thickness at least q+1 = {q + 1}",
-        "G is the BN-pair group acting on X",
-    )
-    verdicts: list[DegreeVerdict] = []
-    for k in range(1, n):
-        verdicts.append(
-            DegreeVerdict(
-                kind="building_cohomology",
-                degree=k,
-                statement=(
-                    f"H^{k}(X, pi) = 0 for every continuous unitary representation pi of G"
-                ),
-                asserted=met,
-                hypotheses=base_hypotheses,
-            )
+    verdicts = [
+        DegreeVerdict(
+            kind=kind,
+            degree=k,
+            statement=statement.format(k=k),
+            asserted=met,
+            hypotheses=tuple(h.format(n=n, q1=q + 1) for h in hypotheses),
+            unverified_hypotheses=tuple(h.format(k=k) for h in unverified),
         )
-    for k in range(1, n):
-        verdicts.append(
-            DegreeVerdict(
-                kind="group_cohomology",
-                degree=k,
-                statement=(
-                    f"H^i(G, pi) = 0 for every 1 <= i <= {k} and every continuous "
-                    "unitary representation pi of G"
-                ),
-                asserted=met,
-                hypotheses=base_hypotheses,
-                unverified_hypotheses=(
-                    f"all {k}-dimensional links of X are finite "
-                    "(building data; not derivable from the relation orders)",
-                ),
-            )
-        )
-    if coxeter_class == "affine":
-        for k in range(1, n):
-            verdicts.append(
-                DegreeVerdict(
-                    kind="group_cohomology_affine",
-                    degree=k,
-                    statement=(
-                        f"H^{k}(G, pi) = 0 for every continuous unitary representation pi of G"
-                    ),
-                    asserted=met,
-                    hypotheses=(
-                        f"X is the n-dimensional affine building of the BN-pair of G, n = {n}",
-                        f"X is non-thin (thickness at least q+1 = {q + 1} >= 3)",
-                    ),
-                )
-            )
+        for kind, statement, hypotheses, unverified in _VERDICT_FAMILIES
+        if kind != "group_cohomology_affine" or coxeter_class == "affine"
+        for k in range(1, n)
+    ]
 
     classical = 1764.0**n / 25.0
     notes = [
@@ -252,8 +249,8 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     ]
     if borderline:
         notes.append(
-            "mu_tilde sits within 1e-12 of the threshold; the strict comparison "
-            "is numerically marginal"
+            f"mu_tilde sits within {BORDERLINE_TOL:g} of the threshold; the strict "
+            "comparison is numerically marginal"
         )
     return VanishingReport(
         coxeter_class=coxeter_class,

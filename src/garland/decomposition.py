@@ -38,7 +38,7 @@ import numpy as np
 
 from .complexes import _json_int, _number_table
 from .errors import InputFormatError, ValidationError
-from .linalg import left_singular, orthonormalize
+from .linalg import RANK_TOL, left_singular, orthonormalize
 from .subspaces import Subspace, SubspaceFamily, intersect
 
 # the lattice has 2^(n+1) index sets.  Building it and verifying every index
@@ -110,7 +110,7 @@ def _h_sup_tau(lower: Subspace, maximal: list[np.ndarray]) -> Subspace:
     if lower.dim == 0 or not any(basis.shape[1] for basis in maximal):
         return lower
     left, singular = left_singular(lower.basis.T @ np.hstack(maximal), complete=True)
-    rank = int(np.count_nonzero(singular > 1e-8))
+    rank = int(np.count_nonzero(singular > RANK_TOL))
     return Subspace(lower.ambient_dim, lower.basis @ left[:, rank:])
 
 

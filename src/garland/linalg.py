@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 SYMMETRY_TOL = 1e-12
+RANK_TOL = 1e-8  # singular values up to this, relative to the matrix scale, count as 0
 RESIDUAL_SCALE = 1e-9
 
 
@@ -142,7 +143,7 @@ def orthonormalize(vectors, ambient_dim: int | None = None) -> tuple[np.ndarray,
     """Orthonormal basis of the span of a list of row vectors, by SVD.
 
     The basis is the left singular vectors of the matrix whose columns are
-    the vectors, keeping those whose singular value exceeds 1e-8 times the
+    the vectors, keeping those whose singular value exceeds RANK_TOL times the
     largest input vector norm.  Returns `(basis, rank)` where `basis` has
     orthonormal columns, shape `(ambient_dim, rank)`.
 
@@ -177,5 +178,5 @@ def orthonormalize(vectors, ambient_dim: int | None = None) -> tuple[np.ndarray,
     if overflow.size:
         raise ValidationError(f"the norm of vector {overflow[0]} overflows the float range")
     left, singular = left_singular(arr.T)
-    rank = int(np.count_nonzero(singular > 1e-8 * float(np.max(norms))))
+    rank = int(np.count_nonzero(singular > RANK_TOL * float(np.max(norms))))
     return left[:, :rank], rank

@@ -45,21 +45,12 @@ def to_jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
-        return {_key(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [to_jsonable(v) for v in items]
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("report mapping keys must be strings")
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, np.integer)):
-        return str(int(k))
-    if isinstance(k, tuple):
-        return ",".join(str(part) for part in k)
-    raise TypeError(f"cannot serialize mapping key of type {type(k).__name__}")
 
 
 def _format_float(x: float) -> str:

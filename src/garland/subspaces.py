@@ -54,7 +54,7 @@ class Subspace:
                 raise ValidationError("basis entries must be finite")
             gram = b.T @ b
             if max_abs(gram - np.eye(b.shape[1])) > GRAM_TOL:
-                raise ValidationError("basis columns are not orthonormal within 1e-10")
+                raise ValidationError(f"basis columns are not orthonormal within {GRAM_TOL:g}")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 

@@ -334,9 +334,20 @@ def test_facet_index_matches_brute_force(x):
     candidates = [frozenset(c) for k in range(3) for c in itertools.combinations(x.vertex_types, k)]
     candidates.append(frozenset({max(x.vertex_types) + 1}))
     for sigma in candidates:
-        assert bool(x.star(sigma)) == any(sigma <= f for f in facets)
+        assert x.star(sigma) == [i for i, f in enumerate(facets) if sigma <= f]
     panels = {frozenset(c) for f in facets for c in itertools.combinations(f, x.n)}
     assert g.thickness(x) == min(sum(p <= f for f in facets) for p in panels)
+
+
+def test_faces_keeps_only_the_last_grouping():
+    x = octahedron()
+    vertices = x.faces([0])
+    assert x.faces((t for t in [0])) is vertices
+    assert x.star({0}) is vertices[frozenset({0})]  # the star reads the kept grouping
+    edges = x.faces([1, 2])
+    assert x._last_faces == [frozenset({1, 2}), edges]
+    again = x.faces([0])
+    assert again is not vertices and again == vertices
 
 
 def test_link_of_undeclared_vertex_raises():

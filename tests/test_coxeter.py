@@ -38,6 +38,9 @@ def test_matrix_validation():
         g.CoxeterMatrix(rank=2, m=((1, 1), (1, 1)))  # off-diagonal below 2
     with pytest.raises(ValidationError):
         g.CoxeterMatrix(rank=3, m=((1, 3), (3, 1)))
+    for bad in (math.nan, -math.inf, 2.5):
+        with pytest.raises(ValidationError, match=rf"m\[0\]\[1\] = {bad} is not an integer or inf"):
+            g.CoxeterMatrix(rank=2, m=((1, bad), (bad, 1)))
 
 
 def test_loader():

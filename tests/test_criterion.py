@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import garland as g
+from garland.criterion import ALLOWED_GONALITIES
 from garland.errors import (
     CriterionInapplicableError,
     FeitHigmanExcludedError,
@@ -32,6 +33,12 @@ def test_threshold_values():
         g.threshold(1)
     with pytest.raises(ValidationError):
         g.threshold(2.5)
+    a3 = cox_of("a3.json")
+    for bad in (math.inf, -math.inf, math.nan):
+        for call in (g.threshold, lambda q: g.feit_higman_bound(3, q),
+                     lambda q: g.vanishing_report(a3, q)):
+            with pytest.raises(ValidationError, match=f"q must be an integer, got {bad}"):
+                call(bad)
 
 
 def test_feit_higman_values():
@@ -44,6 +51,15 @@ def test_feit_higman_values():
     for bad in (5, 7, 12):
         with pytest.raises(FeitHigmanExcludedError):
             g.feit_higman_bound(bad, 2)
+
+
+def test_the_two_encodings_of_the_per_link_bound_agree():
+    # the lower bound's off-diagonal entry on I2(m) is minus the Feit-Higman bound
+    for m in ALLOWED_GONALITIES:
+        c = g.coxeter_cosine(g.CoxeterMatrix(rank=2, m=((1, m), (m, 1))))
+        for q in range(2, 61):
+            entry = g.building_cosine_lower_bound(c, q)[0, 1]
+            assert abs(entry + g.feit_higman_bound(m, q)) <= 1e-15, (m, q)
 
 
 def test_lower_bound_matrix():
@@ -126,9 +142,10 @@ def test_vanishing_report_inapplicable_inputs():
     free_edge = g.CoxeterMatrix(rank=3, m=((1, math.inf, 2), (math.inf, 1, 3), (2, 3, 1)))
     with pytest.raises(CriterionInapplicableError, match="infinite"):
         g.vanishing_report(free_edge, 4)
-    pentagon = g.CoxeterMatrix(rank=3, m=((1, 5, 2), (5, 1, 3), (2, 3, 1)))
-    with pytest.raises(FeitHigmanExcludedError):
-        g.vanishing_report(pentagon, 4)
+    for m in (5, 7, 12):
+        excluded = g.CoxeterMatrix(rank=3, m=((1, m, 2), (m, 1, 3), (2, 3, 1)))
+        with pytest.raises(FeitHigmanExcludedError, match=rf"m\[0\]\[1\] = {m} excluded"):
+            g.vanishing_report(excluded, 4)
     with pytest.raises(ValidationError):
         g.vanishing_report(cox_of("a3.json"), 1)
 

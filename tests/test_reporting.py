@@ -34,6 +34,13 @@ def test_to_jsonable_numpy_and_inf():
         to_jsonable(math.nan)
 
 
+def test_to_jsonable_refuses_sets_and_non_string_keys():
+    assert to_jsonable({"a": (1, [2.0])}) == {"a": [1, [2.0]]}
+    for value in ({1, 2}, frozenset({1}), {1: "a"}, {(0, 1): 2.0}):
+        with pytest.raises(TypeError):
+            to_jsonable(value)
+
+
 def test_render_json_floats_round_trip():
     values = [1 / 3, 1e-17, -0.0, 123456789.123456789, 2.0]
     text = render_json({"v": values})
