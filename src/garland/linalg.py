@@ -133,8 +133,11 @@ def classify_definiteness(matrix) -> DefinitenessClass:
 
 def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and descending singular values of a finite
-    (m, k) matrix, unvalidated; the vectors are min(m, k) columns, or all m
-    when `complete` is set, the trailing ones spanning the complement."""
+    (m, k) matrix, or of each matrix of a stack (..., m, k), unvalidated;
+    the vectors are min(m, k) columns, or all m when `complete` is set, the
+    trailing ones spanning the complement.  A stack is one LAPACK call per
+    matrix inside numpy, with no Python loop, and gives each matrix the bits
+    of its one-matrix call."""
     left, singular, _ = np.linalg.svd(matrix, full_matrices=complete)
     return left, singular
 

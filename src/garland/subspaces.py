@@ -180,9 +180,13 @@ def intersect(
     out = [None] * len(us)
     cut = (1.0 - INTERSECT_TOL) ** 2
     for ks, cos2, vectors in _principal_cosines([(us[k], vs[k]) for k in live], want_vectors=True):
-        for k, c, vec in zip(ks, cos2, vectors):
-            out[live[k]] = Subspace(vec.shape[0], vec[:, c >= cut])
-    out = [Subspace.zero(a.ambient_dim) if w is None else w for a, w in zip(us, out)]
+        keep = cos2 >= cut
+        for k, row, vec, meets in zip(ks, keep, vectors, keep.any(axis=-1).tolist()):
+            if meets:
+                out[live[k]] = Subspace(vec.shape[0], vec[:, row])
+    # the empty intersections in one ambient space share one zero subspace
+    zeros = {d: Subspace.zero(d) for d in {a.ambient_dim for a, w in zip(us, out) if w is None}}
+    out = [zeros[a.ambient_dim] if w is None else w for a, w in zip(us, out)]
     return out[0] if one else out
 
 

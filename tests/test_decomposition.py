@@ -36,6 +36,28 @@ def test_mask_helpers():
         as_mask((3,), 2)
     with pytest.raises(ValidationError):
         as_mask(8, 2)
+    assert as_mask(np.int64(5), 2) == 5
+    assert as_mask(np.array([0, 2]), 2) == 0b101
+    assert as_mask(range(3), 2) == 0b111
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ("12", "got str"),  # not the indices {1, 2}
+        (b"\x01", "got bytes"),
+        (True, "got bool"),  # not the mask 1
+        (np.bool_(True), "got bool"),
+        (1.5, "got float"),
+        (None, "got NoneType"),
+        ((1.7,), "index 1.7 is not an int"),  # not truncated to 1
+        ((True,), "index True is not an int"),
+        ([0, "1"], "index '1' is not an int"),
+    ],
+)
+def test_as_mask_refuses_malformed_index_sets(tau, message):
+    with pytest.raises(ValidationError, match=message):
+        as_mask(tau, 3)
 
 
 def coordinate_axes_family():
@@ -270,6 +292,29 @@ def test_components_match_the_two_svd_reference_over_every_submask():
             assert mine.dim == ref.dim
             projector_gap = mine.basis @ mine.basis.T - ref.basis @ ref.basis.T
             assert max_abs(projector_gap) <= 1e-10
+
+
+def test_component_totals_are_the_brute_force_sums_over_components():
+    fams = [
+        coordinate_axes_family(),
+        g.load_family(load_fixture("doubled_plane.json")),
+        *lattice_families(),
+    ]
+    zero_masks = 0
+    for fam in fams:
+        lattice = build_lattice(fam)
+        assert lattice.components == tuple(
+            sorted(m for m, h in lattice.h_upper.items() if h.dim)
+        )
+        assert len(lattice.component_totals) == 1 << (fam.n + 1)
+        for mask in range(1 << (fam.n + 1)):
+            brute = sum(
+                lattice.h_upper[sub].dim for sub in lattice.components if sub | mask == mask
+            )
+            assert lattice.component_totals[mask] == brute
+            assert type(lattice.component_totals[mask]) is int
+            zero_masks += lattice.h_lower[mask].dim == 0
+    assert zero_masks > 0
 
 
 def test_verify_resolves_the_dependent_full_index_set_of_three_lines():

@@ -258,6 +258,23 @@ def test_matrix_leq():
     assert abs(sym_eigs(b).eigenvalues[0] - 0.75) <= 1e-15
 
 
+@pytest.mark.parametrize("complete", [False, True])
+def test_left_singular_gives_each_matrix_of_a_stack_its_one_matrix_bits(complete):
+    # the shapes of H_tau's coordinates against the stacked maximal H_eta:
+    # square, wide and tall, and rank-deficient stacks with repeated columns
+    rng = np.random.default_rng(21)
+    for rows, cols in [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (3, 6), (5, 4), (12, 11)]:
+        stack = rng.standard_normal((6, rows, cols))
+        stack[1] = np.repeat(stack[1][:, :1], cols, axis=1)
+        stack[2, :, -1] = stack[2, :, 0]
+        left, singular = linalg.left_singular(stack, complete=complete)
+        assert left.shape == (6, rows, rows if complete else min(rows, cols))
+        for k, matrix in enumerate(stack):
+            one_left, one_singular = linalg.left_singular(matrix, complete=complete)
+            assert np.array_equal(left[k], one_left)
+            assert np.array_equal(singular[k], one_singular)
+
+
 FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "lstsq", "solve", "inv", "pinv", "cholesky"}
 
 
