@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, help="path to the input file")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded for reproducibility; no subcommand draws entropy")
 
     p = sub.add_parser("analyze-coxeter", help="cosine matrix, classification, verdicts")
     common(p)
@@ -90,10 +88,8 @@ def _load_json(path: str):
         ) from None
     except ValueError as exc:  # bytes that do not decode, or an integer past the digit limit
         raise InputFormatError(f"{path}: {exc}") from None
-
-
-def _matrix_entry(v):
-    return None if v == math.inf else int(v)
+    except RecursionError:
+        raise InputFormatError(f"{path}: the document is nested too deeply") from None
 
 
 def cmd_analyze_coxeter(args, data) -> tuple[dict, list[str]]:
@@ -103,17 +99,17 @@ def cmd_analyze_coxeter(args, data) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     result = {
         "rank": cox.rank,
-        "m": [[_matrix_entry(v) for v in row] for row in cox.m],
-        "cosine_matrix": to_jsonable(c.matrix),
-        "eigenvalues": to_jsonable(spectrum.eigenvalues),
-        "smallest_eigenvalue": float(spectrum.eigenvalues[0]),
+        "m": cox.m,
+        "cosine_matrix": c.matrix,
+        "eigenvalues": spectrum.eigenvalues,
+        "smallest_eigenvalue": spectrum.eigenvalues[0],
         "classification": classify_coxeter(cox),
     }
     if args.min_thickness:
         result["min_thickness_q"] = crit.min_thickness(c)
     if args.thickness is not None:
         report = crit.vanishing_report(cox, args.thickness)
-        result["vanishing"] = to_jsonable(report)
+        result["vanishing"] = report
         if report.borderline:
             warnings.append(
                 f"criterion comparison is within {crit.BORDERLINE_TOL:g} of the threshold"
@@ -140,11 +136,11 @@ def cmd_analyze_complex(args, data) -> tuple[dict, list[str]]:
         "n": x.n,
         "vertex_count": len(x.vertex_types),
         "facet_count": len(x.facets),
-        "validation": to_jsonable(report.validation),
+        "validation": report.validation,
         "thickness": thickness(x),
-        "cosine_matrix": to_jsonable(report.matrix.matrix),
+        "cosine_matrix": report.matrix.matrix,
         "smallest_eigenvalue": report.matrix.min_eigenvalue(),
-        "definiteness": to_jsonable(report.definiteness),
+        "definiteness": report.definiteness,
         "per_pair": [
             {
                 "types": list(pair),
@@ -181,14 +177,14 @@ def cmd_decompose(args, data) -> tuple[dict, list[str]]:
         check_masks = [as_mask(requested, n)]
     else:
         check_masks = list(lattice.h_lower)
-    checks = [to_jsonable(verify_decomposition(lattice, m, tol=args.tol)) for m in check_masks]
+    checks = [verify_decomposition(lattice, m, tol=args.tol) for m in check_masks]
     result = {
         "ambient_dim": family.ambient_dim,
         "n": n,
         "member_dims": [s.dim for s in family.members],
-        "cosine_matrix": to_jsonable(cosine.matrix),
+        "cosine_matrix": cosine.matrix,
         "smallest_eigenvalue": cosine.min_eigenvalue(),
-        "definiteness": to_jsonable(definiteness),
+        "definiteness": definiteness,
         "lattice": [
             {
                 "tau": list(indices_of(m)),
@@ -198,7 +194,7 @@ def cmd_decompose(args, data) -> tuple[dict, list[str]]:
             for m in lattice.h_lower
         ],
         "checks": checks,
-        "all_hold": all(c["holds"] for c in checks),
+        "all_hold": all(c.holds for c in checks),
     }
     return result, warnings
 
@@ -212,10 +208,10 @@ def cmd_spherical_simplex(args, data) -> tuple[dict, list[str]]:
     result = {
         "vertex_count": family.n + 1,
         "ambient_dim": family.ambient_dim,
-        "face_cosine_matrix": to_jsonable(cosine.matrix),
-        "eigenvalues": to_jsonable(spectrum.eigenvalues),
-        "smallest_eigenvalue": float(spectrum.eigenvalues[0]),
-        "definiteness": to_jsonable(classify_definiteness(cosine.matrix)),
+        "face_cosine_matrix": cosine.matrix,
+        "eigenvalues": spectrum.eigenvalues,
+        "smallest_eigenvalue": spectrum.eigenvalues[0],
+        "definiteness": classify_definiteness(cosine.matrix),
     }
     warnings = []
     if "reference_matrix" in data:
@@ -235,7 +231,7 @@ def cmd_spherical_simplex(args, data) -> tuple[dict, list[str]]:
 
 def _envelope(args, raw: bytes, result: dict, warnings: list[str]) -> dict:
     options = {}
-    for name in ("thickness", "min_thickness", "tau", "tol", "seed"):
+    for name in ("thickness", "min_thickness", "tau", "tol"):
         if hasattr(args, name):
             options[name.replace("_", "-")] = getattr(args, name)
     return {
@@ -272,7 +268,7 @@ def main(argv=None) -> int:
     except GarlandError as exc:
         print(f"garland: error: {exc}", file=sys.stderr)
         return 1
-    report = _envelope(args, raw, result, warnings)
+    report = to_jsonable(_envelope(args, raw, result, warnings))
     if args.format == "json":
         print(render_json(report))
     else:

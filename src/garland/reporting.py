@@ -1,9 +1,10 @@
 """Deterministic report serialization.
 
-Reports are plain trees of dicts, lists, numbers, strings, booleans, and
-None.  The JSON writer fixes field order (insertion order of the assembled
-dicts) and prints floats with 17 significant digits, so identical inputs
-serialize byte-identically; the text writer is a lossy human view.
+`to_jsonable` turns a report into a plain tree of dicts, lists, numbers,
+strings, booleans, and None.  The JSON writer is `json.dumps` on that tree:
+one line, fields in insertion order, floats in Python's shortest round-trip
+form, so identical inputs serialize byte-identically; the text writer is a
+lossy human view.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def to_jsonable(value):
     if isinstance(value, np.floating):
         return to_jsonable(float(value))
     if isinstance(value, np.ndarray):
-        return [to_jsonable(row) for row in value.tolist()]
+        return to_jsonable(value.tolist())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
@@ -53,43 +54,10 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def render_json(value, indent: int = 0) -> str:
-    """Serialize with fixed field order and 17-significant-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        flat = all(isinstance(v, (int, float, bool, str, type(None))) for v in value)
-        if flat:
-            return "[" + ", ".join(render_json(v, indent + 1) for v in value) + "]"
-        rows = [f"{inner}{render_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot render value of type {type(value).__name__}")
+def render_json(value) -> str:
+    """One line of JSON: fields in insertion order, floats in their shortest
+    round-trip form; NaN and infinities raise ValueError."""
+    return json.dumps(value, allow_nan=False)
 
 
 def render_text(value, indent: int = 0) -> str:
@@ -123,5 +91,5 @@ def _scalar_text(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     if isinstance(v, (dict, list, tuple)):
-        return "[]" if not v else repr(v)
+        return json.dumps(v)  # render_text passes only empty ones: {} or []
     return str(v)

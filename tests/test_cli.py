@@ -177,18 +177,19 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_seed_recorded(capsys):
+    # --seed is gone: no report records a seed, and passing one is a usage error.
+    doc = run_json(capsys, ["analyze-coxeter", "--input", fixture_path("a2.json")])
+    assert "seed" not in doc["options"]
+    assert main(["analyze-coxeter", "--input", fixture_path("a2.json"), "--seed", "5"]) == 1
+    capsys.readouterr()
+
+
 def test_text_format(capsys):
     code = main(["analyze-coxeter", "--input", fixture_path("a2.json"), "--format", "text"])
     out = capsys.readouterr().out
     assert code == 0
     assert "classification: spherical" in out
-
-
-def test_seed_recorded(capsys):
-    doc = run_json(
-        capsys, ["analyze-coxeter", "--input", fixture_path("a2.json"), "--seed", "5"]
-    )
-    assert doc["options"]["seed"] == 5
 
 
 def subprocess_stdout(argv):
@@ -291,6 +292,9 @@ MALFORMED = {
     ),
     "json-integer-past-the-digit-limit": (
         "analyze-coxeter", '{"rank": 2, "m": [[1, %s], [3, 1]]}' % ("9" * 5000), "digits",
+    ),
+    "json-nested-too-deeply": (
+        "analyze-coxeter", "[" * 100000 + "]" * 100000, "nested too deeply",
     ),
     "coxeter-rank-string": (
         "analyze-coxeter", '{"rank": "2", "m": [[1, 3], [3, 1]]}',

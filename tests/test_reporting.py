@@ -45,7 +45,7 @@ def test_render_json_floats_round_trip():
     values = [1 / 3, 1e-17, -0.0, 123456789.123456789, 2.0]
     text = render_json({"v": values})
     parsed = json.loads(text)
-    assert parsed["v"] == values  # 17 significant digits round-trip exactly
+    assert parsed["v"] == values  # the shortest repr round-trips exactly
 
 
 def test_render_json_deterministic():
@@ -53,10 +53,18 @@ def test_render_json_deterministic():
     assert render_json(doc) == render_json(doc)
 
 
+def test_render_json_is_one_line_of_strict_json():
+    assert "\n" not in render_json({"a": [1, {"b": [2.5, None]}], "c": "x\ny"})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            render_json({"v": [value]})
+
+
 def test_render_text_shape():
     text = render_text({"classification": "spherical", "eigenvalues": [0.5, 1.5]})
     assert "classification: spherical" in text
     assert "- 0.5" in text
+    assert render_text({"options": {}, "warnings": []}) == "options: {}\nwarnings: []"
 
 
 def test_input_digest():
