@@ -6,9 +6,10 @@ relations (s_i s_j)^{m[i][j]} = 1; the cosine matrix has entries
 In the geometric representation generator s acts on R^r by
 x -> x - 2 B(x, e_s) e_s, with bilinear form B given by the cosine matrix.
 A finite W permutes its finite root system, the orbit of the simple roots
-e_0, ..., e_{r-1}, faithfully.  The roots are generated once, in floating
-point, with every match checked against the smallest distance between two
-roots; from then on each element is a row of integer root indices, so
+e_0, ..., e_{r-1}, faithfully.  The roots are generated once, in exact
+arithmetic: a rank-1 or finite rank-2 component numbers its roots
+cyclically, and any other component gives them integer coordinates over
+Z[phi]; from then on each element is a row of integer root indices, so
 composition and deduplication are exact.  The group is closed one length
 layer at a time, with numpy arrays for the elements, the generator
 adjacency and the Coxeter lengths.  Since l(s w) = l(w) +- 1, a layer's
@@ -22,7 +23,6 @@ maximal-parabolic cosets, each labelled by its smallest element.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -40,11 +40,6 @@ from .linalg import classify_definiteness
 from .subspaces import CosineMatrix
 
 DEFAULT_GROUP_CAP = 10_000
-# Roots are matched within ROOT_MATCH_TOL, and distinct roots must lie at
-# least ROOT_SEPARATION_FACTOR times that apart; on A3..E6 and H4 they are at
-# least 2 - sqrt(2) = 0.586 apart, and matches lie within 1e-14.
-ROOT_MATCH_TOL = 1e-9
-ROOT_SEPARATION_FACTOR = 1e3
 # enumeration keys are int64, so each must stay below 2^63
 KEY_LIMIT = 2**63
 
@@ -146,7 +141,16 @@ def classify_coxeter(cox: CoxeterMatrix) -> str:
     affine when it is a single affine component, and other otherwise.
     """
     c = coxeter_cosine(cox).matrix
-    labels = []
+    labels = [_classify_component(cox, c, component) for component in _components(cox)]
+    if all(label == "spherical" for label in labels):
+        return "spherical"
+    return "affine" if labels == ["affine"] else "other"
+
+
+def _components(cox: CoxeterMatrix) -> list[list[int]]:
+    """The components of the Coxeter graph, which joins i and j when
+    m[i][j] != 2, each sorted, in order of their smallest generator."""
+    components: list[list[int]] = []
     seen: set[int] = set()
     for start in range(cox.rank):
         if start in seen:
@@ -155,10 +159,8 @@ def classify_coxeter(cox: CoxeterMatrix) -> str:
             start, lambda i: [j for j in range(cox.rank) if cox.m[i][j] not in (1, 2)]
         ))
         seen.update(component)
-        labels.append(_classify_component(cox, c, component))
-    if all(label == "spherical" for label in labels):
-        return "spherical"
-    return "affine" if labels == ["affine"] else "other"
+        components.append(component)
+    return components
 
 
 def _classify_component(cox: CoxeterMatrix, c: np.ndarray, component: list[int]) -> str:
@@ -180,105 +182,106 @@ def _classify_component(cox: CoxeterMatrix, c: np.ndarray, component: list[int])
     return "other"
 
 
-def generator_matrices(cox: CoxeterMatrix) -> tuple[np.ndarray, ...]:
-    """Geometric-representation matrices sigma_s = I - 2 e_s (row s of the form)."""
-    c = coxeter_cosine(cox).matrix
-    gens = []
-    for s in range(cox.rank):
-        g = np.eye(cox.rank)
-        g[s, :] -= 2.0 * c[s, :]
-        gens.append(g)
-    return tuple(gens)
+# Rescaled Cartan entries (c_ij, c_ji) of a label, for i < j: elements
+# p + q phi of Z[phi], stored as (p, q), with c_ij c_ji = 4 cos^2(pi / m) and
+# phi^2 = phi + 1.  On a tree they rescale the basis of the geometric
+# representation; a component with a cycle is infinite, and its orbit is too
+# (Vinberg, Discrete linear groups generated by reflections, 1971).
+_CARTAN = {
+    3: ((1, 0), (1, 0)),
+    4: ((1, 0), (2, 0)),
+    5: ((0, 1), (0, 1)),
+    6: ((1, 0), (3, 0)),
+    math.inf: ((2, 0), (2, 0)),
+}
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """The roots of a finite system, with each generator as a root permutation.
 
-    `vectors[k]` is root k in the basis of simple roots, which sit at indices
-    0 .. rank-1; `permutations[s][k]` is the index of s(root k).  The two
-    margins certify the matching: every generator image lay within
-    `match_distance` of its root, and distinct roots are `separation` apart.
+    `keys[k]` is the exact key of root k (see `root_system`), with the simple
+    roots at 0 .. rank-1; `permutations[s][k]` is the index of s(root k).
     """
 
-    vectors: np.ndarray
+    keys: tuple[tuple, ...]
     permutations: tuple[tuple[int, ...], ...]
-    match_distance: float
-    separation: float
+
+
+def _zphi_reflection(p: int, terms: list[tuple[int, int, int]]):
+    """Coordinate p becomes -x_p + sum_j c_jp x_j, for terms (j, u, v) with
+    c_jp = u + v phi."""
+    def step(x):
+        a, b = -x[2 * p], -x[2 * p + 1]
+        for j, u, v in terms:
+            xa, xb = x[2 * j], x[2 * j + 1]
+            # (u + v phi)(xa + xb phi), with phi^2 = phi + 1
+            a += u * xa + v * xb
+            b += u * xb + v * (xa + xb)
+        return x[:2 * p] + (a, b) + x[2 * p + 2:]
+    return step
 
 
 def root_system(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> RootSystem:
-    """Orbit of the simple roots under the generators of the geometric
-    representation, matched by nearest root within ROOT_MATCH_TOL.
+    """Orbit of the simple roots under the generators, in exact arithmetic.
+
+    A root's key is its component of the Coxeter graph and a key within it,
+    and a generator fixes every root outside its component.  A finite
+    rank-2 component is I2(m), and a rank-1 one I2(1): root k is the unit
+    vector at angle k pi / m, the simple roots sit at k = 0 and k = m - 1,
+    and their generators map k to m - k and to 3m - 2 - k, mod 2m.  Any
+    other component keys a root by its integer coordinates over Z[phi] in a
+    rescaled basis of simple roots, where generator t changes only x_t, to
+    -x_t + sum_j c_jt x_j (`_CARTAN`).
 
     |Phi| <= |W| for every finite W, so an orbit that grows past `cap` roots
-    means a group of more than `cap` elements, finite or not.
-    Raises unless distinct roots are at least ROOT_SEPARATION_FACTOR times
-    the tolerance apart, so that no match can be ambiguous.
+    means a group of more than `cap` elements, finite or not.  No finite
+    irreducible group of rank >= 3 has a label outside {2, 3, 4, 5, 6}
+    (Humphreys, section 2.7), so such a component is refused at once, with
+    the same message.
     """
     if cap < 1:
         raise ValidationError("cap must be at least 1")
-    r = cox.rank
-    # generator s changes only coordinate s, to row s of its matrix dotted
-    # with the root
-    rows = [gen[s].tolist() for s, gen in enumerate(generator_matrices(cox))]
-    vectors = [tuple(row) for row in np.eye(r).tolist()]
-    # roots in order of length: a root within the tolerance of an image has
-    # a length within the tolerance of the image's, so only that window of
-    # this list is searched
-    by_length = sorted((math.hypot(*v), k) for k, v in enumerate(vectors))
-    permutations: list[list[int]] = [[] for _ in range(r)]
-    match_distance = 0.0
-    # first in, first out: `vectors` is the breadth-first queue, so the
-    # images of root k are matched, and appended to the permutations, k-th
-    for root in vectors:
-        for s, row in enumerate(rows):
-            image = root[:s] + (sum(a * b for a, b in zip(row, root)),) + root[s + 1:]
-            length = math.hypot(*image)
-            lo = bisect.bisect_left(by_length, (length - ROOT_MATCH_TOL,))
-            hi = bisect.bisect_right(by_length, (length + ROOT_MATCH_TOL, math.inf))
-            distance, nearest = min(
-                ((math.dist(vectors[j], image), j) for _, j in by_length[lo:hi]),
-                default=(math.inf, -1),
-            )
-            if distance <= ROOT_MATCH_TOL:
-                match_distance = max(match_distance, distance)
-            else:
-                if len(vectors) >= cap:
-                    raise GroupEnumerationError(
-                        f"group not enumerated: its root orbit passed {cap} roots, "
-                        f"so it has more than {cap} elements"
-                    )
-                nearest = len(vectors)
-                vectors.append(image)
-                bisect.insort(by_length, (length, nearest))
-            permutations[s].append(nearest)
-    count = len(vectors)
-    vectors = np.array(vectors)
-    # closest pair, swept over offsets k in the order of length: no two roots
-    # are closer than their lengths differ, and the length gaps at offset
-    # k + 1 are at least those at offset k, so the sweep stops once the
-    # smallest gap reaches the best distance
-    order = [k for _, k in by_length]
-    lengths = np.array([length for length, _ in by_length])
-    ordered = vectors[order]
-    separation = math.inf
-    for k in range(1, count):
-        if float(np.min(lengths[k:] - lengths[:-k])) >= separation:
-            break
-        distances = np.linalg.norm(ordered[k:] - ordered[:-k], axis=1)
-        separation = min(separation, float(np.min(distances)))
-    if separation < ROOT_SEPARATION_FACTOR * ROOT_MATCH_TOL:
-        raise GroupEnumerationError(
-            f"roots not well separated: two of the {count} roots lie {separation:.3g} "
-            f"apart against a matching tolerance of {ROOT_MATCH_TOL:g}"
-        )
-    return RootSystem(
-        vectors=vectors,
-        permutations=tuple(tuple(perm) for perm in permutations),
-        match_distance=match_distance,
-        separation=separation,
+    over_cap = (
+        f"group not enumerated: its root orbit passed {cap} roots, "
+        f"so it has more than {cap} elements"
     )
+    r = cox.rank
+    keys: list[tuple] = [()] * r
+    steps: list = [None] * r  # (component, the generator on its local keys)
+    for c, component in enumerate(_components(cox)):
+        m = cox.m[component[0]][component[-1]]  # 1 for rank 1
+        if len(component) <= 2 and m != math.inf:
+            for s, (start, shift) in zip(component, ((0, m), (m - 1, 3 * m - 2))):
+                keys[s] = (c, start)
+                steps[s] = (c, lambda k, shift=shift, n=2 * m: (shift - k) % n)
+            continue
+        if any(cox.m[i][j] not in _CARTAN for i in component for j in component
+               if cox.m[i][j] not in (1, 2)):
+            raise GroupEnumerationError(over_cap)
+        zero = (0,) * (2 * len(component))
+        for p, t in enumerate(component):
+            terms = [
+                (q, *_CARTAN[cox.m[j][t]][j > t])
+                for q, j in enumerate(component) if cox.m[j][t] not in (1, 2)
+            ]
+            keys[t] = (c, zero[:2 * p] + (1, 0) + zero[2 * p + 2:])
+            steps[t] = (c, _zphi_reflection(p, terms))
+    index = {key: k for k, key in enumerate(keys)}
+    permutations: list[list[int]] = [[] for _ in range(r)]
+    # first in, first out: `keys` is the breadth-first queue, so the images
+    # of root k are matched, and appended to the permutations, k-th
+    for k, key in enumerate(keys):
+        for (c, step), perm in zip(steps, permutations):
+            image = (c, step(key[1])) if key[0] == c else key
+            found = index.get(image)
+            if found is None:
+                if len(keys) >= cap:
+                    raise GroupEnumerationError(over_cap)
+                found = index[image] = len(keys)
+                keys.append(image)
+            perm.append(found)
+    return RootSystem(keys=tuple(keys), permutations=tuple(map(tuple, permutations)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +289,7 @@ class EnumeratedGroup:
     """Group elements as rows of root indices, with per-generator adjacency.
 
     `elements` is an (order, rank) integer array: `elements[i, j]` is the
-    index, in `root_system(...).vectors`, of the image of simple root j under
+    index, in `root_system(...).keys`, of the image of simple root j under
     element i.  The simple roots are a basis, so the row fixes the element and
     its whole root permutation, and two elements are equal exactly when their
     integer rows are.  `adjacency` is an (order, rank) integer array, and
@@ -296,15 +299,13 @@ class EnumeratedGroup:
     way.  `lengths[i]` is the Coxeter length of element i, its distance from
     the identity in the adjacency graph; elements are numbered in
     breadth-first order, so `lengths` never decreases.  The three arrays are
-    read-only.  The two root margins are those of `RootSystem`.
+    read-only.
     """
 
     rank: int
     elements: np.ndarray
     adjacency: np.ndarray
     lengths: np.ndarray
-    root_match_distance: float
-    root_separation: float
 
     @property
     def order(self) -> int:
@@ -368,7 +369,7 @@ def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> Enumera
     within it, so all layers together sort at most rank * cap keys.
     """
     roots = root_system(cox, cap=cap)
-    count = len(roots.vectors)
+    count = len(roots.keys)
     r = cox.rank
     perms = np.array(roots.permutations, dtype=np.min_scalar_type(count - 1))
     table = perms.ravel()  # s(root k) is table[s * count + k]
@@ -417,14 +418,7 @@ def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> Enumera
     adjacency = np.concatenate(adjacency).reshape(-1, r)
     for array in (elements, adjacency, lengths):
         array.flags.writeable = False
-    return EnumeratedGroup(
-        rank=r,
-        elements=elements,
-        adjacency=adjacency,
-        lengths=lengths,
-        root_match_distance=roots.match_distance,
-        root_separation=roots.separation,
-    )
+    return EnumeratedGroup(rank=r, elements=elements, adjacency=adjacency, lengths=lengths)
 
 
 @dataclass(frozen=True)

@@ -152,11 +152,6 @@ def _h_sup_taus(entries) -> list[Subspace]:
     return out
 
 
-def _h_sup_tau(lower: Subspace, maximal: list[np.ndarray]) -> Subspace:
-    """H^tau of one index set, the one-element case of `_h_sup_taus`."""
-    return _h_sup_taus([(lower, maximal)])[0]
-
-
 def _submask_sums(values: np.ndarray, n: int) -> list[int]:
     """For every mask over {0..n}, the sum of `values` over its submasks.
 

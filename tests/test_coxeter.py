@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 import garland as g
 from garland import coxeter
 from garland.complexes import bfs_distances
-from garland.coxeter import (
-    ROOT_MATCH_TOL,
-    build_coxeter_complex,
-    coxeter_complex_cosine_check,
-    generator_matrices,
-    root_system,
-)
+from garland.coxeter import build_coxeter_complex, coxeter_complex_cosine_check, root_system
 from garland.errors import GarlandError, GroupEnumerationError, InputFormatError, ValidationError
 from garland.linalg import max_abs, sym_eigs
 
@@ -102,19 +96,6 @@ def test_classification_by_component(system, label):
     assert g.classify_coxeter(table(system)) == label
 
 
-def test_generators_satisfy_relations():
-    for name in ("a2.json", "b3.json", "h3.json"):
-        cox = cox_of(name)
-        gens = generator_matrices(cox)
-        r = cox.rank
-        for i in range(r):
-            assert max_abs(gens[i] @ gens[i] - np.eye(r)) <= 1e-12
-            for j in range(i + 1, r):
-                word = gens[i] @ gens[j]
-                power = np.linalg.matrix_power(word, int(cox.m[i][j]))
-                assert max_abs(power - np.eye(r)) <= 1e-8
-
-
 def test_group_orders():
     expected = {
         "a2.json": 6,
@@ -152,7 +133,7 @@ def test_elements_are_distinct_rows_of_root_indices():
         roots = root_system(cox)
         assert np.array_equal(group.elements[0], np.arange(cox.rank))
         assert len(np.unique(group.elements, axis=0)) == group.order
-        assert group.elements.max() < len(roots.vectors)
+        assert group.elements.max() < len(roots.keys)
         for array in (group.elements, group.adjacency, group.lengths):
             assert len(array) == group.order
             assert not array.flags.writeable
@@ -162,7 +143,7 @@ def reference_closure(cox, cap=coxeter.DEFAULT_GROUP_CAP):
     """The one-at-a-time closure: a breadth-first queue of byte rows, composed
     by `bytes.translate` and deduplicated by a dict (at most 256 roots)."""
     roots = root_system(cox, cap=cap)
-    count = len(roots.vectors)
+    count = len(roots.keys)
     tables = [bytes(perm) + bytes(256 - count) for perm in roots.permutations]
     identity = bytes(range(cox.rank))
     elements = [identity]
@@ -225,6 +206,10 @@ SPHERICAL = {
     "A1^10": (dynkin(10, ()), (2,) * 10, 10_000),  # rank above 8
     "A1^14": (dynkin(14, ()), (2,) * 14, 16_384),  # keys past one int64 word
     "I2(5)": (dynkin(2, ((0, 1, 5),)), (2, 5), 10_000),
+    # products take the degrees of their factors, so their orders are
+    # 8 * 14 * 2 = 224 and 120 * 12 = 1440
+    "B2xI2(7)xA1": (dynkin(5, ((0, 1, 4), (2, 3, 7))), (2, 4, 2, 7, 2), 10_000),
+    "H3xG2": (dynkin(5, ((0, 1, 5), (1, 2, 3), (3, 4, 6))), (2, 6, 10, 2, 6), 10_000),
 }
 
 
@@ -274,7 +259,7 @@ def test_cap_at_the_order(name):
     cox, degrees, _ = SPHERICAL[name]
     order = math.prod(degrees)
     assert g.enumerate_group(cox, cap=order).order == order
-    roots = len(root_system(cox).vectors)
+    roots = len(root_system(cox).keys)
     with pytest.raises(GroupEnumerationError) as info:
         g.enumerate_group(cox, cap=order - 1)
     assert str(info.value) == (
@@ -306,22 +291,21 @@ def compose(p, q):
 
 
 def test_generator_permutations_are_exact():
-    for name in ("a2.json", "b3.json", "h3.json"):
+    # each simple reflection s_i fixes exactly the roots orthogonal to its
+    # root: none in A2; in B3, with simple roots e3, e2 - e3 and e1 - e2,
+    # those are +-e1, +-e2, +-e1 +- e2 for e3 and four for either long root;
+    # in H3 each reflection commutes with two others, whose roots are its four
+    fixed_counts = {"a2.json": [0, 0], "b3.json": [8, 4, 4], "h3.json": [4, 4, 4]}
+    for name, fixed in fixed_counts.items():
         cox = cox_of(name)
         roots = root_system(cox)
-        count = len(roots.vectors)
-        identity = tuple(range(count))
-        gram = roots.vectors @ g.coxeter_cosine(cox).matrix
+        identity = tuple(range(len(roots.keys)))
+        assert len(set(roots.keys)) == len(identity)
         for i, perm in enumerate(roots.permutations):
             assert sorted(perm) == list(identity)
             assert compose(perm, perm) == identity
-            # s_i sends its simple root to its negative and fixes exactly the
-            # roots orthogonal to it: none in a2, some for every generator of
-            # b3 and h3
-            assert max_abs(roots.vectors[perm[i]] + roots.vectors[i]) <= 1e-12
-            fixed = [k for k in identity if perm[k] == k]
-            assert fixed == [k for k in identity if abs(gram[k, i]) <= 1e-9]
-            assert bool(fixed) == (name != "a2.json")
+            assert perm[i] != i
+            assert sum(perm[k] == k for k in identity) == fixed[i]
             for j in range(i + 1, cox.rank):
                 word = compose(perm, roots.permutations[j])
                 power = word
@@ -331,46 +315,32 @@ def test_generator_permutations_are_exact():
                 assert power == identity
 
 
-def test_root_margins():
-    for name in ("a2.json", "b2.json", "g2.json", "a3.json", "b3.json", "h3.json"):
-        group = g.enumerate_group(cox_of(name))
-        assert 0.0 <= group.root_match_distance <= 1e-12
-        assert group.root_separation >= 0.25
-    group = g.enumerate_group(H4, cap=20000)
-    assert group.root_match_distance <= 1e-12
-    assert group.root_separation == pytest.approx((math.sqrt(5) - 1) / 2)
-
-
-def brute_separation(vectors):
-    """Closest pair of roots by one norm call per root over all later roots."""
-    return min(
-        float(np.min(np.linalg.norm(vectors[i + 1:] - vectors[i], axis=1)))
-        for i in range(len(vectors) - 1)
-    )
-
-
-SEPARATION_TYPES = {
-    **{name: (cox, cap) for name, (cox, _, cap) in SPHERICAL.items()},
-    "A5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3))), 10_000),
-    "B5": (dynkin(5, ((0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3))), 10_000),
-    "D6": (dynkin(6, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3))), 60_000),
-    "I2(129)": (dynkin(2, ((0, 1, 129),)), 10_000),
-    "I2(1000)": (dynkin(2, ((0, 1, 1000),)), 10_000),
+# the spherical types, and more whose root systems alone are checked, with
+# the degrees of their basic invariants
+ROOT_TYPES = {
+    **SPHERICAL,
+    "A5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3))), (2, 3, 4, 5, 6), 10_000),
+    "B5": (dynkin(5, ((0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3))), (2, 4, 6, 8, 10), 10_000),
+    "D6": (
+        dynkin(6, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3))),
+        (2, 4, 6, 8, 10, 6),
+        60_000,
+    ),
+    "E8": (E8, (2, 8, 12, 14, 18, 20, 24, 30), 10_000),
+    "I2(129)": (dynkin(2, ((0, 1, 129),)), (2, 129), 10_000),
+    "I2(1000)": (dynkin(2, ((0, 1, 1000),)), (2, 1000), 10_000),
 }
 
 
-@pytest.mark.parametrize("name", list(SEPARATION_TYPES))
-def test_root_separation_equals_the_brute_force_minimum(name):
-    cox, cap = SEPARATION_TYPES[name]
-    roots = root_system(cox, cap=cap)
-    assert roots.separation == brute_separation(roots.vectors)
-
-
-def test_roots_must_be_well_separated(monkeypatch):
-    # a tolerance whose safety factor would demand roots 1000 apart
-    monkeypatch.setattr(coxeter, "ROOT_SEPARATION_FACTOR", 1e3 / ROOT_MATCH_TOL)
-    with pytest.raises(GroupEnumerationError, match="not well separated"):
-        g.enumerate_group(cox_of("a2.json"))
+@pytest.mark.parametrize("name", list(ROOT_TYPES))
+def test_root_count_is_twice_the_positive_roots(name):
+    # |Phi| = 2 N, with N = sum(d_i - 1) reflections (Humphreys, Reflection
+    # Groups and Coxeter Groups, section 3.9); the root orbit needs no cap
+    # beyond its own size
+    cox, degrees, cap = ROOT_TYPES[name]
+    count = 2 * sum(d - 1 for d in degrees)
+    assert len(root_system(cox, cap=cap).keys) == count
+    assert len(root_system(cox, cap=count).keys) == count
 
 
 def test_finite_group_over_cap_says_finite():
@@ -384,7 +354,7 @@ def test_finite_group_over_cap_says_finite():
 
 def test_dihedral_group_past_256_roots():
     cox = g.CoxeterMatrix(rank=2, m=((1, 129), (129, 1)))
-    assert len(root_system(cox).vectors) == 258
+    assert len(root_system(cox).keys) == 258
     assert g.enumerate_group(cox).order == 258
     check = coxeter_complex_cosine_check(cox)
     assert check.link_checks[(0, 1)].observed_lengths == (258,)  # one 258-cycle
@@ -397,6 +367,19 @@ def test_infinite_group_hits_cap():
         g.enumerate_group(cox_of("infinite_dihedral.json"), cap=64)
     with pytest.raises(GroupEnumerationError, match="more than 100 elements"):
         g.enumerate_group(cox_of("affine_a2.json"), cap=100)
+    # the (2, 5, 5) triangle group has its labels in Z[phi], and its orbit
+    # passes the cap; the (2, 3, 7) triangle group has a label 7 on a rank-3
+    # component, which no finite group has, so it is refused before any root
+    # is found, whatever the cap
+    triangle_255 = table([[1, 5, 2], [5, 1, 5], [2, 5, 1]])
+    triangle_237 = table([[1, 3, 2], [3, 1, 7], [2, 7, 1]])
+    for cox, cap in ((triangle_255, 100), (triangle_237, 100), (triangle_237, 10**12)):
+        with pytest.raises(GroupEnumerationError) as info:
+            g.enumerate_group(cox, cap=cap)
+        assert str(info.value) == (
+            f"group not enumerated: its root orbit passed {cap} roots, "
+            f"so it has more than {cap} elements"
+        )
     # a finite orbit over a small cap gets the same message: more than `cap`
     # elements is all that is known, and A1 (order 2) and A2 (order 6) are finite
     a1 = g.CoxeterMatrix(rank=1, m=((1,),))

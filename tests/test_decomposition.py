@@ -13,7 +13,7 @@ import garland as g
 from garland import decomposition
 from garland.decomposition import (
     DecompositionReport,
-    _h_sup_tau,
+    _h_sup_taus,
     as_mask,
     build_lattice,
     indices_of,
@@ -201,7 +201,8 @@ def test_lattice_bases_equal_the_one_mask_functions_bit_for_bit():
             lower = lattice.h_lower[mask]
             assert np.array_equal(lower.basis, reference_h_tau(fam, mask).basis)
             maximal = [lattice.h_lower[mask ^ 1 << i].basis for i in indices_of(mask)]
-            assert np.array_equal(lattice.h_upper[mask].basis, _h_sup_tau(lower, maximal).basis)
+            alone = _h_sup_taus([(lower, maximal)])[0]
+            assert np.array_equal(lattice.h_upper[mask].basis, alone.basis)
 
 
 def reference_h_tau(fam, mask: int) -> g.Subspace:
