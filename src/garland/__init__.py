@@ -7,7 +7,6 @@ from .complexes import (
     ComplexCosineReport,
     PartiteComplex,
     cosine_matrix_of_complex,
-    cycle_complex,
     gallery_connected,
     link_of,
     load_complex,
@@ -35,7 +34,6 @@ from .decomposition import (
     SubspaceLattice,
     build_lattice,
     load_family,
-    random_family,
     verify_decomposition,
 )
 from .errors import (
@@ -45,10 +43,9 @@ from .errors import (
     GarlandError,
     GroupEnumerationError,
     InputFormatError,
-    SingularityError,
     ValidationError,
 )
-from .linalg import classify_definiteness, orthonormalize, sym_eigs
+from .linalg import classify_definiteness, sym_eigs
 from .subspaces import (
     CosineMatrix,
     Subspace,
@@ -56,8 +53,6 @@ from .subspaces import (
     angle_cos,
     cosine_matrix_of_family,
     intersect,
-    kassabov_delta,
-    kassabov_reduced,
     spherical_face_family,
 )
 

@@ -14,9 +14,7 @@ composition and deduplication are exact.  The group is closed one length
 layer at a time, with numpy arrays for the elements, the generator
 adjacency and the Coxeter lengths.  Since l(s w) = l(w) +- 1, a layer's
 descents are read off the layer below, and only its ascents are imaged;
-each image row becomes one int64 key, its root indices read as digits in
-base |Phi| and re-ranked densely whenever the next digit would pass 2^63,
-and one argsort of the keys finds the new elements.  The enumerated
+one stable lexsort of the image rows finds the new elements.  The enumerated
 chambers assemble into the associated partite simplicial complex via
 maximal-parabolic cosets, each labelled by its smallest element.
 """
@@ -40,8 +38,6 @@ from .linalg import classify_definiteness
 from .subspaces import CosineMatrix
 
 DEFAULT_GROUP_CAP = 10_000
-# enumeration keys are int64, so each must stay below 2^63
-KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -312,36 +308,6 @@ class EnumeratedGroup:
         return len(self.elements)
 
 
-def _row_keys(rows: np.ndarray, count: int) -> np.ndarray:
-    """Distinct int64 keys that sort the rows as numbers in base `count`, and
-    equal rows by position.
-
-    Row p reads as its entries, digits in base `count`, followed by the digit
-    p in base n = len(rows); so rows p and q are equal exactly when their keys
-    agree after floor division by n.  The row digits are added as many at a
-    time as an int64 holds, by one matmul against their weights.  When the
-    next digit would carry the key past 2^63, the partial key is first
-    replaced by its dense rank among the rows, which keeps its order and its
-    ties; so the keys are exact at any rank.  E8 (240^8) and A1^14 (28^14)
-    need that step; E6 (72^6) does not.
-    """
-    n, r = rows.shape
-    key, bound, start = 0, 1, 0  # every key lies in [0, bound)
-    while True:
-        if bound * (count if start < r else n) >= KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        if start == r:
-            return key * n + np.arange(n)
-        stop = start + 1
-        while stop < r and bound * count ** (stop + 1 - start) < KEY_LIMIT:
-            stop += 1
-        weights = [count ** (stop - 1 - j) for j in range(start, stop)]
-        key = key * (weights[0] * count) + rows[:, start:stop] @ np.array(weights, dtype=np.int64)
-        bound *= weights[0] * count
-        start = stop
-
-
 def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> EnumeratedGroup:
     """Breadth-first closure of the generators acting on the root system,
     one length layer at a time.
@@ -357,16 +323,17 @@ def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> Enumera
     ascent adjacency[j, s] = i found while closing layer k - 1 is the descent
     adjacency[i, s] = j of layer k, and one scatter fills all of them.  The
     entries still unset are the ascents of layer k, and only those are
-    imaged, in the order element then generator.  Each image row becomes one
-    int64 key (`_row_keys`), and one argsort of the keys puts equal images
-    next to each other, the first position of each group leading it.  Every
-    group is a new element of layer k + 1, and new elements are numbered in
-    order of their leaders, which is the order in which a one-at-a-time queue
-    would meet them.  Keys are exact integers, so deduplication involves no
-    floats and no hashing.  Raises when the roots do not close within `cap`,
-    and, for a finite group, when more than `cap` elements appear; the cap is
-    checked after each layer, and every layer whose images are sorted lies
-    within it, so all layers together sort at most rank * cap keys.
+    imaged, in the order element then generator.  One stable `np.lexsort` of
+    the image rows puts equal images next to each other in order of
+    position, the first of each group leading it.  Every group is a new
+    element of layer k + 1, and new elements are numbered in order of their
+    leaders, which is the order in which a one-at-a-time queue would meet
+    them.  Rows are compared as exact integers, so deduplication involves no
+    floats and no hashing, at any rank.  Raises when the roots do not close
+    within `cap`, and, for a finite group, when more than `cap` elements
+    appear; the cap is checked after each layer, and every layer whose images
+    are sorted lies within it, so all layers together sort at most rank * cap
+    rows.
     """
     roots = root_system(cox, cap=cap)
     count = len(roots.keys)
@@ -388,13 +355,13 @@ def enumerate_group(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> Enumera
         rows = layer.take(up, axis=0).astype(np.intp)
         rows += (gen * count)[:, None]
         images = table.take(rows)
-        keys = _row_keys(images, count)
-        n = len(keys)
-        order = keys.argsort()
-        ordered = keys[order] // n
+        n = len(images)
+        order = np.lexsort(images.T)
+        # each row as one opaque scalar, so equal rows compare in one step
+        ordered = images.view(np.dtype((np.void, images.itemsize * r))).ravel()[order]
         starts = np.empty(n, dtype=bool)
         starts[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        starts[1:] = ordered[1:] != ordered[:-1]
         leader = order[starts]
         following = first + len(layer)
         if following + len(leader) > cap:

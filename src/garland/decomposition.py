@@ -48,7 +48,7 @@ import numpy as np
 
 from .complexes import _json_int, _number_table
 from .errors import InputFormatError, ValidationError
-from .linalg import RANK_TOL, left_singular, orthonormalize
+from .linalg import RANK_TOL, left_singular
 from .subspaces import Subspace, SubspaceFamily, intersect
 
 # the lattice has 2^(n+1) index sets.  At n = 13, n+1 lines or planes of
@@ -281,36 +281,6 @@ def verify_decomposition(
         max_reconstruction_residual=max_residual,
         tol=tol,
     )
-
-
-def random_family(seed: int, ambient_dim: int, n: int, member_dims) -> SubspaceFamily:
-    """Seeded family of orthonormalized standard Gaussian frames.
-
-    Draws whose frames come out rank-deficient are redrawn from the next
-    derived seed, so the result is deterministic in `seed` and always has the
-    requested member dimensions.
-    """
-    dims = list(member_dims)
-    if n < 0 or len(dims) != n + 1:
-        raise ValidationError(f"member_dims must list n+1 = {n + 1} dimensions")
-    if ambient_dim < 1:
-        raise ValidationError("ambient dimension must be at least 1")
-    for k in dims:
-        if not 0 <= k <= ambient_dim:
-            raise ValidationError(f"member dimension {k} infeasible in R^{ambient_dim}")
-    for attempt in range(64):
-        rng = np.random.default_rng([int(seed), attempt])
-        members = []
-        for k in dims:
-            frame = rng.standard_normal((k, ambient_dim))
-            basis, rank = orthonormalize(frame, ambient_dim=ambient_dim)
-            if rank != k:
-                members = None
-                break
-            members.append(Subspace(ambient_dim, basis))
-        if members is not None:
-            return SubspaceFamily(ambient_dim, tuple(members))
-    raise ValidationError("could not draw a full-rank family (implausible for Gaussian frames)")
 
 
 def load_family(data) -> SubspaceFamily:

@@ -17,10 +17,6 @@ class InputFormatError(ValidationError):
     """A data file or dict is malformed; the message names the offending field."""
 
 
-class SingularityError(GarlandError, ArithmeticError):
-    """A denominator that must stay away from zero reached it."""
-
-
 class GroupEnumerationError(GarlandError, RuntimeError):
     """Group closure did not stabilize within the element cap."""
 

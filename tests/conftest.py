@@ -1,17 +1,22 @@
-"""Shared helpers: fixture loading, seeded family generators, JSON fuzz
-strategies, and a terminal summary that prints one PASS/FAIL line per
+"""Shared helpers: fixture loading, seeded family generators, cycle
+complexes, the Kassabov reduction that acceptance criterion 09 checks, JSON
+fuzz strategies, and a terminal summary that prints one PASS/FAIL line per
 acceptance criterion."""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 import garland as g
-from garland.decomposition import random_family
+from garland.complexes import PartiteComplex
+from garland.errors import GarlandError, ValidationError
+from garland.linalg import orthonormalize
+from garland.subspaces import CosineMatrix, Subspace, SubspaceFamily
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +28,36 @@ def fixture_path(name: str) -> str:
 def load_fixture(name: str):
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def random_family(seed: int, ambient_dim: int, n: int, member_dims) -> SubspaceFamily:
+    """Seeded family of orthonormalized standard Gaussian frames.
+
+    Draws whose frames come out rank-deficient are redrawn from the next
+    derived seed, so the result is deterministic in `seed` and always has the
+    requested member dimensions.
+    """
+    dims = list(member_dims)
+    if n < 0 or len(dims) != n + 1:
+        raise ValidationError(f"member_dims must list n+1 = {n + 1} dimensions")
+    if ambient_dim < 1:
+        raise ValidationError("ambient dimension must be at least 1")
+    for k in dims:
+        if not 0 <= k <= ambient_dim:
+            raise ValidationError(f"member dimension {k} infeasible in R^{ambient_dim}")
+    for attempt in range(64):
+        rng = np.random.default_rng([int(seed), attempt])
+        members = []
+        for k in dims:
+            frame = rng.standard_normal((k, ambient_dim))
+            basis, rank = orthonormalize(frame, ambient_dim=ambient_dim)
+            if rank != k:
+                members = None
+                break
+            members.append(Subspace(ambient_dim, basis))
+        if members is not None:
+            return SubspaceFamily(ambient_dim, tuple(members))
+    raise ValidationError("could not draw a full-rank family (implausible for Gaussian frames)")
 
 
 # shapes with a usable acceptance rate under the positive-definite filter
@@ -70,6 +105,66 @@ def intersecting_family(seed: int, ambient_dim: int, n: int, extra_dims) -> g.Su
         members.append(g.Subspace.from_spanning(ambient_dim, np.vstack(rows)))
     members.append(g.Subspace.from_spanning(ambient_dim, cores))
     return g.SubspaceFamily(ambient_dim, tuple(members))
+
+
+def cycle_complex(length: int) -> PartiteComplex:
+    """Even cycle as a 1-dimensional 2-partite complex (types alternate)."""
+    if length < 4 or length % 2:
+        raise ValidationError("cycle length must be even and at least 4")
+    vt = {i: i % 2 for i in range(length)}
+    facets = tuple(frozenset((i, (i + 1) % length)) for i in range(length))
+    return PartiteComplex(vt, facets)
+
+
+class SingularityError(GarlandError, ArithmeticError):
+    """A denominator that must stay away from zero reached it."""
+
+
+def kassabov_delta(l12: float, l13: float, l23: float) -> float:
+    """Bound on the angle cosine of (V1 cut with V3, V2 cut with V3).
+
+    delta = (l12 + l13*l23) / (sqrt(1 - l13^2) * sqrt(1 - l23^2)), where the
+    l's are pairwise angle cosines.  l13 and l23 must stay below 1.
+    """
+    for name, value in (("l12", l12), ("l13", l13), ("l23", l23)):
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    if l13 == 1.0 or l23 == 1.0:
+        raise SingularityError("kassabov_delta denominator vanishes at cosine 1")
+    return (l12 + l13 * l23) / (math.sqrt(1.0 - l13 * l13) * math.sqrt(1.0 - l23 * l23))
+
+
+def kassabov_reduced(a: CosineMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce an (n+1)x(n+1) cosine matrix to the n-subspace matrix A'.
+
+    Reading lambda_ij = -A[i][j], the reduced matrix has unit diagonal and
+    off-diagonal entries -delta_ij with delta_ij = kassabov_delta applied to
+    (lambda_ij, lambda_in, lambda_jn).  Also returns the unscaled form A''
+    (diagonal 1 - lambda_in^2, off-diagonal -(lambda_ij + lambda_in*lambda_jn))
+    and the diagonal scaling D with D_ii = 1/sqrt(1 - lambda_in^2), so that
+    A' = D A'' D holds exactly.
+    """
+    if not isinstance(a, CosineMatrix):
+        a = CosineMatrix(np.asarray(a, dtype=float))
+    m = a.matrix
+    n = m.shape[0] - 1
+    if n < 1:
+        raise ValidationError("reduction needs at least a 2x2 cosine matrix")
+    lam = -m
+    lam_last = lam[:n, n]
+    if np.any(lam_last >= 1.0):
+        raise SingularityError("reduction undefined: some angle cosine with V_n equals 1")
+    scale = 1.0 / np.sqrt(1.0 - lam_last**2)
+    a_prime = np.eye(n)
+    a_dprime = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                a_dprime[i, j] = 1.0 - lam_last[i] ** 2
+            else:
+                a_dprime[i, j] = -(lam[i, j] + lam_last[i] * lam_last[j])
+                a_prime[i, j] = -kassabov_delta(lam[i, j], lam_last[i], lam_last[j])
+    return a_prime, a_dprime, np.diag(scale)
 
 
 # JSON-shaped values for loader fuzzing; the integers past the float range

@@ -14,9 +14,15 @@ import garland as g
 from garland.coxeter import coxeter_complex_cosine_check, enumerate_group
 from garland.decomposition import build_lattice, verify_decomposition
 from garland.linalg import max_abs, sym_eigs
-from garland.subspaces import kassabov_reduced
 
-from conftest import intersecting_family, load_fixture, pd_families
+from conftest import (
+    cycle_complex,
+    intersecting_family,
+    kassabov_delta,
+    kassabov_reduced,
+    load_fixture,
+    pd_families,
+)
 
 
 def test_criterion_01_rank4_hyperbolic_reproduction():
@@ -67,7 +73,7 @@ def walk_eigenvalue(x) -> float:
 
 def test_criterion_03_even_cycle_walk_law():
     for m in (2, 3, 4, 6, 8):
-        lam = walk_eigenvalue(g.cycle_complex(2 * m))
+        lam = walk_eigenvalue(cycle_complex(2 * m))
         assert abs(lam - math.cos(math.pi / m)) <= 1e-9
 
 
@@ -121,7 +127,7 @@ def test_criterion_07_intersection_angle_bound():
         if l02 >= 1.0 or l12 >= 1.0:
             continue
         lhs = g.angle_cos(g.intersect(v0, v2), g.intersect(v1, v2))
-        assert lhs <= g.kassabov_delta(l01, l02, l12) + 1e-9
+        assert lhs <= kassabov_delta(l01, l02, l12) + 1e-9
         checked += 1
 
 

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from garland.cli import build_parser, main
+from garland.complexes import MAX_LINK_VERTICES
 from garland.decomposition import MAX_FAMILY_N
+from garland.subspaces import MAX_SIMPLEX_VERTICES
 
 from conftest import fixture_path
 
@@ -242,6 +244,18 @@ def test_shared_parser_leaks_no_state(capsys):
 
 
 COMPLEX_OK = '"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}], "facets": [[0, 1]]'
+
+
+def cycle_document(length: int, apexes: int = 0) -> str:
+    """An even cycle, joined with `apexes` points of a third type when there
+    are any, so that the link of each point is the cycle."""
+    vertices = [{"id": i, "type": i % 2} for i in range(length)]
+    vertices += [{"id": length + a, "type": 2} for a in range(apexes)]
+    edges = [[i, (i + 1) % length] for i in range(length)]
+    facets = [e + [length + a] for e in edges for a in range(apexes)] if apexes else edges
+    return json.dumps({"vertices": vertices, "facets": facets})
+
+
 MALFORMED = {
     "complex-id-string": (
         "analyze-complex", '{"vertices": [{"id": "x", "type": 0}], "facets": [[0]]}',
@@ -270,8 +284,26 @@ MALFORMED = {
         "facets[0] repeats vertex id 0",
     ),
     "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
+    "complex-over-the-link-size-limit": (
+        "analyze-complex", cycle_document(MAX_LINK_VERTICES + 2),
+        f"the complex itself has {MAX_LINK_VERTICES + 2} vertices; "
+        f"the walk pass takes at most {MAX_LINK_VERTICES}",
+    ),
+    "complex-link-over-the-size-limit": (
+        "analyze-complex", cycle_document(MAX_LINK_VERTICES + 2, apexes=1),
+        f"link of [{MAX_LINK_VERTICES + 2}] has {MAX_LINK_VERTICES + 2} vertices",
+    ),
     "simplex-vertex-norm-overflow": (
         "spherical-simplex", '{"vertices": [[1e308, 0.0], [0.0, 1.0]]}', "unit vectors",
+    ),
+    "simplex-over-the-size-limit": (
+        "spherical-simplex",
+        json.dumps({"vertices": [
+            [float(i == j) for j in range(MAX_SIMPLEX_VERTICES + 1)]
+            for i in range(MAX_SIMPLEX_VERTICES + 1)
+        ]}),
+        f"more than {MAX_SIMPLEX_VERTICES} vertices is not supported, "
+        f"got {MAX_SIMPLEX_VERTICES + 1}",
     ),
     "simplex-reference-string": (
         "spherical-simplex",

@@ -14,14 +14,13 @@ import garland as g
 from garland.complexes import (
     _walk_spectra,
     bfs_distances,
-    cycle_complex,
     gallery_connected,
     link_of,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import json_values, load_fixture
+from conftest import cycle_complex, json_values, load_fixture
 
 
 def octahedron():

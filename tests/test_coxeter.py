@@ -204,7 +204,7 @@ SPHERICAL = {
     "D5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3))), (2, 4, 5, 6, 8), 60_000),
     "E6": (E6, (2, 5, 6, 8, 9, 12), 60_000),
     "A1^10": (dynkin(10, ()), (2,) * 10, 10_000),  # rank above 8
-    "A1^14": (dynkin(14, ()), (2,) * 14, 16_384),  # keys past one int64 word
+    "A1^14": (dynkin(14, ()), (2,) * 14, 16_384),  # rank 14, the widest rows
     "I2(5)": (dynkin(2, ((0, 1, 5),)), (2, 5), 10_000),
     # products take the degrees of their factors, so their orders are
     # 8 * 14 * 2 = 224 and 120 * 12 = 1440
@@ -269,21 +269,22 @@ def test_cap_at_the_order(name):
 
 
 def test_cap_bounds_the_sorted_rows(monkeypatch):
-    sorted_keys = []
-    original = coxeter._row_keys
+    sorted_rows = []
+    original = np.lexsort
 
-    def counting_row_keys(rows, count):
-        keys = original(rows, count)
-        sorted_keys.append(len(keys))
-        return keys
+    def counting_lexsort(keys, *args, **kwargs):
+        order = original(keys, *args, **kwargs)
+        sorted_rows.append(len(order))
+        return order
 
-    monkeypatch.setattr(coxeter, "_row_keys", counting_row_keys)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
     with pytest.raises(GroupEnumerationError, match="more than 1000 elements"):
         g.enumerate_group(E6, cap=1000)
-    # each layer sorts one key per ascent, at most rank per element, and
+    # each layer sorts one row per ascent, at most rank per element, and
     # every layer whose images are sorted lies within the cap, so E6's 51840
     # elements are never reached
-    assert sum(sorted_keys) <= 6 * 1000
+    assert sorted_rows
+    assert sum(sorted_rows) <= 6 * 1000
 
 
 def compose(p, q):

@@ -17,13 +17,12 @@ from garland.decomposition import (
     as_mask,
     build_lattice,
     indices_of,
-    random_family,
     verify_decomposition,
 )
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import json_scalars, json_values, load_fixture, pd_families
+from conftest import json_scalars, json_values, load_fixture, pd_families, random_family
 
 
 def test_mask_helpers():

@@ -28,6 +28,8 @@ from garland.linalg import (
     sym_eigs,
 )
 
+from conftest import cycle_complex
+
 
 def random_symmetric(rng, k, scale=1.0):
     m = rng.standard_normal((k, k)) * scale
@@ -64,7 +66,7 @@ def test_sym_eigs_a_n_cosine_matrix_closed_form(n):
 
 @pytest.mark.parametrize("length", range(4, 13, 2))
 def test_sym_eigs_cycle_walk_closed_form(length):
-    cycle = g.cycle_complex(length)
+    cycle = cycle_complex(length)
     walk = np.zeros((length, length))
     for edge in cycle.facets:
         a, b = tuple(edge)

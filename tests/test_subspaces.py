@@ -17,11 +17,18 @@ from hypothesis import strategies as st
 import garland as g
 from garland import subspaces
 from garland.complexes import _number_table
-from garland.errors import DimensionMismatchError, GarlandError, SingularityError, ValidationError
+from garland.errors import DimensionMismatchError, GarlandError, ValidationError
 from garland.linalg import max_abs
 from garland.subspaces import INTERSECT_TOL
 
-from conftest import intersecting_family, json_scalars, json_values
+from conftest import (
+    SingularityError,
+    intersecting_family,
+    json_scalars,
+    json_values,
+    kassabov_delta,
+    kassabov_reduced,
+)
 
 
 def projector(s: g.Subspace) -> np.ndarray:
@@ -259,14 +266,14 @@ def test_cosine_matrix_of_family():
 
 
 def test_kassabov_delta_values():
-    assert abs(g.kassabov_delta(0.0, 0.5, 0.5) - 1.0 / 3.0) <= 1e-12
-    assert abs(g.kassabov_delta(0.5, 0.0, 0.0) - 0.5) <= 1e-15
+    assert abs(kassabov_delta(0.0, 0.5, 0.5) - 1.0 / 3.0) <= 1e-12
+    assert abs(kassabov_delta(0.5, 0.0, 0.0) - 0.5) <= 1e-15
     with pytest.raises(ValidationError):
-        g.kassabov_delta(-0.1, 0.5, 0.5)
+        kassabov_delta(-0.1, 0.5, 0.5)
     with pytest.raises(ValidationError):
-        g.kassabov_delta(0.5, 1.5, 0.5)
+        kassabov_delta(0.5, 1.5, 0.5)
     with pytest.raises(SingularityError):
-        g.kassabov_delta(0.5, 1.0, 0.5)
+        kassabov_delta(0.5, 1.0, 0.5)
 
 
 def test_kassabov_reduced_identity_and_errors():
@@ -275,17 +282,17 @@ def test_kassabov_reduced_identity_and_errors():
         k = int(rng.integers(2, 7))
         upper = np.triu(-rng.uniform(0.0, 0.3, size=(k, k)), 1)
         a = g.CosineMatrix(upper + upper.T + np.eye(k))
-        a_prime, a_dprime, d = g.kassabov_reduced(a)
+        a_prime, a_dprime, d = kassabov_reduced(a)
         assert a_prime.shape == (k - 1, k - 1)
         assert max_abs(a_prime - d @ a_dprime @ d) <= 1e-12
         assert np.allclose(np.diag(a_prime), 1.0, atol=1e-12)
     singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(SingularityError):
-        g.kassabov_reduced(singular)
+        kassabov_reduced(singular)
 
 
 def test_kassabov_reduced_smallest_case():
-    a_prime, a_dprime, d = g.kassabov_reduced(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    a_prime, a_dprime, d = kassabov_reduced(np.array([[1.0, -0.5], [-0.5, 1.0]]))
     assert a_prime.shape == (1, 1)
     assert abs(a_prime[0, 0] - 1.0) <= 1e-12
 
