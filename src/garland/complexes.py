@@ -36,7 +36,6 @@ from .errors import InputFormatError, ValidationError
 from .linalg import DefinitenessClass, classify_definiteness, sym_eigs
 from .subspaces import CosineMatrix
 
-WALK_NEGATIVE_TOL = 1e-12
 # the walk pass stacks one dense v x v adjacency matrix per link and squares
 # it up to the diameter: in process on a 2-CPU machine, one even cycle, its
 # own link, takes 0.5 s and 79 MB at v = 1024, 4.4 s and 209 MB at v = 2048
@@ -384,7 +383,9 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     may disagree when the complex is not link-homogeneous, in which case the
     maximum is used (the conservative choice for definiteness verdicts) and
     the disagreement is reported.  A link of more than `MAX_LINK_VERTICES`
-    vertices is refused before its walk spectrum is computed.
+    vertices is refused before its walk spectrum is computed, and so is a
+    cotype whose links are all single edges, whose walk eigenvalue -1 admits
+    no cosine.
     """
     val = validate_complex(x)
     if not val.pure:
@@ -403,27 +404,30 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
         reps = x.faces(t for t in types if t not in (ti, tj))
         # validate_complex has proved every link connected (B2)
         links = [link_of(x, sigma) for sigma in reps]
-        for sigma, link in zip(reps, links):
-            if len(link.vertex_types) > MAX_LINK_VERTICES:
+        lengths = tuple(len(link.vertex_types) for link in links)
+        for sigma, length in zip(reps, lengths):
+            if length > MAX_LINK_VERTICES:
                 where = f"link of {sorted(sigma)}" if sigma else "the complex itself"
                 raise ValidationError(
-                    f"{where} has {len(link.vertex_types)} vertices; the walk pass "
+                    f"{where} has {length} vertices; the walk pass "
                     f"takes at most {MAX_LINK_VERTICES}"
                 )
-        lambdas, diameters, cycles = _walk_spectra(links)
-        lam = float(lambdas.max())
-        if lam < -WALK_NEGATIVE_TOL:
+        # a connected bipartite link has its walk spectrum symmetric about 0,
+        # so its second eigenvalue is -1 on a single edge and at least 0 on 3
+        # or more vertices
+        if max(lengths) == 2:
             raise ValidationError(
-                f"pair {{{ti},{tj}}}: walk eigenvalue {lam:g} is negative "
+                f"pair {{{ti},{tj}}}: walk eigenvalue -1 is negative "
                 "(a single-edge link; too thin to admit a cosine matrix)"
             )
-        lam = max(lam, 0.0)
+        lambdas, diameters, cycles = _walk_spectra(links)
+        lam = max(float(lambdas.max()), 0.0)  # round-off may fall below 0
         per_pair[(ti, tj)] = PairSpectrum(
             second_eigenvalue=lam,
             representatives=len(reps),
             max_disagreement=float(lambdas.max() - lambdas.min()),
             link_diameter=int(diameters.max()),
-            link_lengths=tuple(len(link.vertex_types) for link in links),
+            link_lengths=lengths,
             all_cycles=bool(cycles.all()),
         )
         matrix[pos[ti], pos[tj]] = -lam

@@ -127,14 +127,19 @@ def classify_coxeter(cox: CoxeterMatrix) -> str:
     """Classify as spherical, affine, or other, one Coxeter graph component
     at a time (the graph joins i and j when m[i][j] != 2).
 
-    A component of rank 1 is spherical, and one of rank 2 is spherical for a
-    finite order and affine for an infinite one; the dihedral smallest
-    eigenvalue 1 - cos(pi/m) falls under any zero tolerance for large m, so
-    rank 2 is not decided from the spectrum.  A larger component is spherical
-    when its cosine matrix is positive definite, and affine when it is
-    positive semidefinite of corank 1 with every proper principal submatrix
-    positive definite.  The system is spherical when every component is,
-    affine when it is a single affine component, and other otherwise.
+    A component of rank 2 is spherical for a finite order and affine for an
+    infinite one; the dihedral smallest eigenvalue 1 - cos(pi/m) falls under
+    any zero tolerance for large m, so rank 2 is not decided from the
+    spectrum.  Any other component is spherical when its cosine matrix C is
+    positive definite, affine when it is positive semidefinite, and other
+    otherwise.  That is the classical test (corank 1, every proper principal
+    submatrix positive definite; Humphreys, sections 2.6 and 4.7) with no
+    more checks, by Perron-Frobenius:
+      N = I - C is nonnegative and irreducible, and lambda_min(C) = 1 - rho(N);
+      rho(N) is a simple eigenvalue, so a semidefinite C has corank 1;
+      rho(N_J) < rho(N) for each proper principal N_J, so each C_J is definite.
+    The system is spherical when every component is, affine when it is a
+    single affine component, and other otherwise.
     """
     c = coxeter_cosine(cox).matrix
     labels = [_classify_component(cox, c, component) for component in _components(cox)]
@@ -160,22 +165,13 @@ def _components(cox: CoxeterMatrix) -> list[list[int]]:
 
 
 def _classify_component(cox: CoxeterMatrix, c: np.ndarray, component: list[int]) -> str:
-    if len(component) == 1:
-        return "spherical"
     if len(component) == 2:
         i, j = component
         return "affine" if cox.m[i][j] == math.inf else "spherical"
-    sub = c[np.ix_(component, component)]
-    cls = classify_definiteness(sub)
+    cls = classify_definiteness(c[np.ix_(component, component)])
     if cls.is_positive_definite:
         return "spherical"
-    if cls.is_positive_semidefinite and cls.corank == 1:
-        for drop in range(len(component)):
-            keep = [k for k in range(len(component)) if k != drop]
-            if not classify_definiteness(sub[np.ix_(keep, keep)]).is_positive_definite:
-                return "other"
-        return "affine"
-    return "other"
+    return "affine" if cls.is_positive_semidefinite else "other"
 
 
 # Rescaled Cartan entries (c_ij, c_ji) of a label, for i < j: elements

@@ -67,16 +67,22 @@ def feit_higman_bound(m: int, q: int) -> float:
     return _TWO_COS[m] * (math.sqrt(q) / (q + 1))
 
 
+def _lower_bound_scale(q: int) -> float:
+    """s = 2*sqrt(q)/(q+1), the weight of C in the lower-bound matrix; the
+    threshold is 1 - 1/s."""
+    return 2.0 * math.sqrt(q) / (q + 1)
+
+
 def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndarray:
-    """The matrix (2*sqrt(q)/(q+1)) C + (1 - 2*sqrt(q)/(q+1)) I.
+    """The matrix s C + (1 - s) I, with s = 2*sqrt(q)/(q+1).
 
     Any building of type C with thickness q+1 has a complex cosine matrix at
     least this one in the entrywise order; the shift moves the spectrum of C
-    affinely, so its smallest eigenvalue is immediate from that of C.
+    affinely, so its smallest eigenvalue is s (mu - threshold(q)), mu that of C.
     """
     q = _check_q(q)
     matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
-    scale = 2.0 * math.sqrt(q) / (q + 1)
+    scale = _lower_bound_scale(q)
     return scale * matrix + (1.0 - scale) * np.eye(matrix.shape[0])
 
 
@@ -84,11 +90,11 @@ def min_thickness(c: CosineMatrix | np.ndarray) -> int:
     """Smallest q >= 2 whose threshold lies strictly below the smallest eigenvalue.
 
     Exists for every input since the threshold decreases without bound; any
-    positive semidefinite cosine matrix already passes at q = 2.  The search
-    starts at the closed-form root: with a = 1 - mu, the threshold equals mu
-    at sqrt(q) = a + sqrt(a^2 - 1).  It then settles with the strict test
-    itself, galloping out from there until a failing q sits just below a
-    passing one and bisecting between them, so its work grows like log q.
+    positive semidefinite cosine matrix already passes at q = 2.  Passing is
+    monotone in q, so the search gallops up from q = 2, doubling q until it
+    passes, and bisects between the last failing q and the first passing
+    one; its work grows like log q.  A q past the float range ends in
+    `threshold`'s refusal.
     """
     matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
     smallest = float(sym_eigs(matrix).eigenvalues[0])
@@ -96,19 +102,11 @@ def min_thickness(c: CosineMatrix | np.ndarray) -> int:
     def passes(q: int) -> bool:
         return smallest > threshold(q)
 
-    a = 1.0 - smallest
-    root = a + math.sqrt((a - 1.0) * (a + 1.0)) if a > 1.0 else 1.0
-    q0 = root * root
-    if math.isinf(q0):
-        raise ValidationError("q is beyond the float range")
-    # `above` always passes; `below` fails, or is 1, under the smallest q allowed
-    above = max(2, math.floor(q0))
-    below, step = above - 1, 1
+    # `above` passes once the gallop ends; `below` fails, or is 1, under the
+    # smallest q allowed
+    below, above = 1, 2
     while not passes(above):
-        below, above, step = above, above + step, 2 * step
-    step = 1
-    while below >= 2 and passes(below):
-        above, below, step = below, max(1, below - step), 2 * step
+        below, above = above, 2 * above
     while above - below > 1:
         mid = (above + below) // 2
         if passes(mid):
@@ -197,6 +195,12 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     version H^i(G, pi) conditional on finite k-dimensional links, and the
     unconditional group version available for affine systems (where every
     proper link of the building is finite).
+
+    One eigensolve gives mu, the smallest eigenvalue of the cosine matrix C.
+    The lower-bound matrix s C + (1 - s) I shifts the spectrum of C
+    affinely, and threshold(q) = 1 - 1/s, so its smallest eigenvalue
+    `lower_bound_min_eig` is s (mu - threshold(q)), positive exactly when
+    `criterion_met`.
     """
     q = _check_q(q)
     n = cox.rank - 1
@@ -223,7 +227,7 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     met = mu > thr
     borderline = abs(mu - thr) < BORDERLINE_TOL
     lower = building_cosine_lower_bound(c, q)
-    lower_min = float(sym_eigs(lower).eigenvalues[0])
+    lower_min = _lower_bound_scale(q) * (mu - thr)
     coxeter_class = classify_coxeter(cox)
 
     verdicts = [

@@ -5,6 +5,7 @@ acceptance criterion."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -114,6 +115,78 @@ def cycle_complex(length: int) -> PartiteComplex:
     vt = {i: i % 2 for i in range(length)}
     facets = tuple(frozenset((i, (i + 1) % length)) for i in range(length))
     return PartiteComplex(vt, facets)
+
+
+def dynkin(rank, edges):
+    """The Coxeter matrix of rank `rank` with labels m_ij on `edges`, given as
+    (i, j, m_ij), and 2 on every other pair."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, mij in edges:
+        m[i][j] = m[j][i] = mij
+    return g.CoxeterMatrix(rank=rank, m=tuple(map(tuple, m)))
+
+
+def labelling(rank, labels):
+    """The Coxeter matrix of rank `rank` with labels on the pairs i < j, in
+    the order of itertools.combinations."""
+    pairs = itertools.combinations(range(rank), 2)
+    return dynkin(rank, [(i, j, mij) for (i, j), mij in zip(pairs, labels)])
+
+
+def path(nodes, label=3):
+    """The edges (i, j, label) joining neighbours of a sequence of nodes."""
+    return tuple((i, j, label) for i, j in zip(nodes, nodes[1:]))
+
+
+def chain(*labels):
+    """The path diagram on nodes 0 .. len(labels) with edge k labelled labels[k]."""
+    return dynkin(len(labels) + 1, tuple((k, k + 1, m) for k, m in enumerate(labels)))
+
+
+H4 = chain(5, 3, 3)
+E6 = dynkin(6, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)))
+E7 = dynkin(7, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (1, 3, 3)))
+E8 = dynkin(8, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (1, 3, 3)))
+
+# every irreducible spherical type up to rank 8, with I2(m) for some m, and
+# the degrees of its basic invariants (Humphreys, Reflection Groups and
+# Coxeter Groups, section 3.7, Table 3.1); the largest degree is the Coxeter
+# number h and the exponents are the degrees less 1
+IRREDUCIBLE = {
+    **{f"A{n}": (chain(*(3,) * (n - 1)), tuple(range(2, n + 2))) for n in range(1, 9)},
+    **{f"B{n}": (chain(4, *(3,) * (n - 2)), tuple(range(2, 2 * n + 1, 2))) for n in range(2, 9)},
+    **{
+        f"D{n}": (dynkin(n, path(range(n - 1)) + ((n - 3, n - 1, 3),)), (*range(2, 2 * n - 1, 2), n))
+        for n in range(4, 9)
+    },
+    "E6": (E6, (2, 5, 6, 8, 9, 12)),
+    "E7": (E7, (2, 6, 8, 10, 12, 14, 18)),
+    "E8": (E8, (2, 8, 12, 14, 18, 20, 24, 30)),
+    "F4": (chain(3, 4, 3), (2, 6, 8, 12)),
+    "H3": (chain(5, 3), (2, 6, 10)),
+    "H4": (H4, (2, 12, 20, 30)),
+    **{f"I2({m})": (chain(m), (2, m)) for m in (5, 7, 8, 12, 100)},
+}
+
+# the irreducible affine types up to rank 9 (Humphreys, section 4.7): X~n
+# has rank n + 1
+AFFINE = {
+    **{f"A~{n}": dynkin(n + 1, path((*range(n + 1), 0))) for n in range(2, 9)},
+    **{
+        f"B~{n}": dynkin(n + 1, ((0, 2, 3), *path(range(1, n)), (n - 1, n, 4)))
+        for n in range(3, 9)
+    },
+    **{f"C~{n}": chain(4, *(3,) * (n - 2), 4) for n in range(2, 9)},
+    **{
+        f"D~{n}": dynkin(n + 1, ((0, 2, 3), *path(range(1, n)), (n - 2, n, 3)))
+        for n in range(4, 9)
+    },
+    "E~6": dynkin(7, path(range(5)) + ((2, 5, 3), (5, 6, 3))),
+    "E~7": dynkin(8, path(range(7)) + ((3, 7, 3),)),
+    "E~8": dynkin(9, path(range(8)) + ((2, 8, 3),)),
+    "F~4": chain(3, 3, 4, 3),
+    "G~2": chain(3, 6),
+}
 
 
 class SingularityError(GarlandError, ArithmeticError):

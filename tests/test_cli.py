@@ -284,6 +284,12 @@ MALFORMED = {
         "facets[0] repeats vertex id 0",
     ),
     "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
+    "complex-single-edge-links": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 2}],'
+        ' "facets": [[0, 1, 2]]}',
+        "pair {0,1}: walk eigenvalue -1 is negative",
+    ),
     "complex-over-the-link-size-limit": (
         "analyze-complex", cycle_document(MAX_LINK_VERTICES + 2),
         f"the complex itself has {MAX_LINK_VERTICES + 2} vertices; "

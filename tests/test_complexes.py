@@ -304,6 +304,35 @@ def test_walk_pass_over_links_of_several_sizes_matches_one_link_calls():
     assert_walk_pass_matches_one_link(x, report)
 
 
+def test_cosine_matrix_refuses_a_cotype_of_single_edge_links():
+    # every codimension-2 link of one triangle is a single edge, whose second
+    # walk eigenvalue is -1
+    triangle = g.PartiteComplex({0: 0, 1: 1, 2: 2}, (frozenset({0, 1, 2}),))
+    with pytest.raises(
+        ValidationError,
+        match=r"^pair \{0,1\}: walk eigenvalue -1 is negative \(a single-edge link; too thin",
+    ):
+        g.cosine_matrix_of_complex(triangle)
+
+
+def test_single_edge_links_beside_a_longer_one_are_accepted():
+    # cotype {0, 1}: the link of c is the path a-b-a2-b2, with second walk
+    # eigenvalue cos(pi/3) = 1/2, and the link of c2 is the single edge a-b,
+    # at -1; the pair reads the maximum
+    a, a2, b, b2, c, c2 = range(6)
+    x = g.PartiteComplex(
+        {a: 0, a2: 0, b: 1, b2: 1, c: 2, c2: 2},
+        tuple(map(frozenset, ((a, b, c), (a2, b, c), (a2, b2, c), (a, b, c2)))),
+    )
+    report = g.cosine_matrix_of_complex(x)
+    spec = report.per_pair[(0, 1)]
+    assert spec.link_lengths == (4, 2)
+    assert spec.second_eigenvalue == pytest.approx(0.5, abs=1e-12)
+    assert spec.max_disagreement == pytest.approx(1.5, abs=1e-12)
+    assert report.matrix.matrix[0, 1] == -spec.second_eigenvalue
+    assert_walk_pass_matches_one_link(x, report)
+
+
 @pytest.mark.parametrize("x", index_test_complexes(), ids=["A3", "B3", "H3", "octahedron", "heawood"])
 def test_walk_pass_matches_one_link_calls(x):
     assert_walk_pass_matches_one_link(x, g.cosine_matrix_of_complex(x))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +16,20 @@ from garland import coxeter
 from garland.complexes import bfs_distances
 from garland.coxeter import build_coxeter_complex, coxeter_complex_cosine_check, root_system
 from garland.errors import GarlandError, GroupEnumerationError, InputFormatError, ValidationError
-from garland.linalg import max_abs, sym_eigs
+from garland.linalg import classify_definiteness, max_abs, sym_eigs
 
-from conftest import json_scalars, json_values, load_fixture
+from conftest import (
+    AFFINE,
+    E6,
+    E8,
+    H4,
+    IRREDUCIBLE,
+    dynkin,
+    json_scalars,
+    json_values,
+    labelling,
+    load_fixture,
+)
 
 
 def cox_of(name):
@@ -96,6 +109,113 @@ def test_classification_by_component(system, label):
     assert g.classify_coxeter(table(system)) == label
 
 
+@pytest.mark.parametrize("name", list(IRREDUCIBLE))
+def test_cosine_spectrum_of_a_spherical_type_is_read_off_its_exponents(name):
+    # the cosine matrix has eigenvalues 1 - cos(pi e_i / h), over the
+    # exponents e_i = d_i - 1 and the Coxeter number h, the largest degree
+    # (Humphreys, Reflection Groups and Coxeter Groups, sections 3.16-3.19)
+    cox, degrees = IRREDUCIBLE[name]
+    h = max(degrees)
+    expected = sorted(1.0 - math.cos(math.pi * (d - 1) / h) for d in degrees)
+    spectrum = sym_eigs(g.coxeter_cosine(cox).matrix).eigenvalues
+    assert max_abs(spectrum - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cosine_spectrum_of_the_affine_cycle(n):
+    # A~n is a cycle of n + 1 nodes, so its cosine matrix is I - A / 2, with A
+    # the cycle's adjacency matrix, whose eigenvalues are 2 cos(2 pi k / (n + 1))
+    cox = AFFINE[f"A~{n}"]
+    expected = sorted(1.0 - math.cos(2.0 * math.pi * k / (n + 1)) for k in range(n + 1))
+    spectrum = sym_eigs(g.coxeter_cosine(cox).matrix).eigenvalues
+    assert max_abs(spectrum - expected) <= 1e-14
+
+
+def reference_components(cox):
+    """Each component of the Coxeter graph, sorted, with its label by the
+    classical test (Humphreys, sections 2.7 and 4.7), which checks every
+    condition on its own: a component of rank 1 is spherical, one of rank 2
+    affine for m = inf and spherical otherwise, and a larger one spherical
+    when its cosine matrix is positive definite, affine when it is positive
+    semidefinite of corank 1 with every maximal proper principal submatrix
+    positive definite, and other otherwise."""
+    c = g.coxeter_cosine(cox).matrix
+    seen, labelled = set(), []
+    for start in range(cox.rank):
+        if start in seen:
+            continue
+        comp = sorted(bfs_distances(
+            start, lambda i: [j for j in range(cox.rank) if cox.m[i][j] not in (1, 2)]
+        ))
+        seen.update(comp)
+        sub = c[np.ix_(comp, comp)]
+        cls = classify_definiteness(sub)
+        if len(comp) <= 2:
+            infinite = len(comp) == 2 and cox.m[comp[0]][comp[1]] == math.inf
+            label = "affine" if infinite else "spherical"
+        elif cls.is_positive_definite:
+            label = "spherical"
+        elif cls.is_positive_semidefinite and cls.corank == 1 and all(
+            classify_definiteness(np.delete(np.delete(sub, k, 0), k, 1)).is_positive_definite
+            for k in range(len(comp))
+        ):
+            label = "affine"
+        else:
+            label = "other"
+        labelled.append((sub, label))
+    return labelled
+
+
+def assert_classification_matches_the_reference(systems):
+    """classify_coxeter agrees with the classical test on every system; in
+    every affine component, each proper principal submatrix is definite
+    (Perron-Frobenius).  Returns the labels seen."""
+    seen = set()
+    for cox in systems:
+        labelled = reference_components(cox)
+        labels = [label for _, label in labelled]
+        if all(label == "spherical" for label in labels):
+            expected = "spherical"
+        else:
+            expected = "affine" if labels == ["affine"] else "other"
+        assert g.classify_coxeter(cox) == expected, cox.m
+        seen.add(expected)
+        for sub, label in labelled:
+            if label != "affine":
+                continue
+            for size in range(1, len(sub)):
+                for keep in itertools.combinations(range(len(sub)), size):
+                    assert sym_eigs(sub[np.ix_(keep, keep)]).eigenvalues[0] > 1e-6, cox.m
+    return seen
+
+
+def test_classification_matches_the_reference_on_every_rank_3_labelling():
+    labels = (2, 3, 4, 5, 6, 7, 8, 12, 10**5, math.inf)
+    systems = [labelling(3, choice) for choice in itertools.product(labels, repeat=3)]
+    assert len(systems) == 1000
+    assert assert_classification_matches_the_reference(systems) == {
+        "spherical", "affine", "other"
+    }
+
+
+@pytest.mark.parametrize("rank, labels", [
+    (4, (2, 3, 4, 5, 6, math.inf)),
+    (5, (2, 3, 4, 6)),
+], ids=["rank4", "rank5"])
+def test_classification_matches_the_reference_on_a_sample(rank, labels):
+    # a pair commutes with probability 1/2, or almost every system is other;
+    # few are one affine component even so, and the affine types of this
+    # rank join the sample
+    rng = random.Random(rank)
+    weights = [len(labels) - 1] + [1] * (len(labels) - 1)
+    pairs = rank * (rank - 1) // 2
+    systems = [labelling(rank, rng.choices(labels, weights, k=pairs)) for _ in range(1000)]
+    systems += [cox for cox in AFFINE.values() if cox.rank == rank]
+    assert assert_classification_matches_the_reference(systems) == {
+        "spherical", "affine", "other"
+    }
+
+
 def test_group_orders():
     expected = {
         "a2.json": 6,
@@ -107,18 +227,6 @@ def test_group_orders():
     }
     for name, order in expected.items():
         assert g.enumerate_group(cox_of(name)).order == order
-
-
-def dynkin(rank, edges):
-    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
-    for i, j, mij in edges:
-        m[i][j] = m[j][i] = mij
-    return g.CoxeterMatrix(rank=rank, m=tuple(map(tuple, m)))
-
-
-H4 = dynkin(4, ((0, 1, 5), (1, 2, 3), (2, 3, 3)))
-E6 = dynkin(6, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)))
-E8 = dynkin(8, ((0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (1, 3, 3)))
 
 
 def test_large_group_orders():
@@ -319,15 +427,8 @@ def test_generator_permutations_are_exact():
 # the spherical types, and more whose root systems alone are checked, with
 # the degrees of their basic invariants
 ROOT_TYPES = {
+    **{name: (cox, degrees, 10_000) for name, (cox, degrees) in IRREDUCIBLE.items()},
     **SPHERICAL,
-    "A5": (dynkin(5, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3))), (2, 3, 4, 5, 6), 10_000),
-    "B5": (dynkin(5, ((0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3))), (2, 4, 6, 8, 10), 10_000),
-    "D6": (
-        dynkin(6, ((0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3))),
-        (2, 4, 6, 8, 10, 6),
-        60_000,
-    ),
-    "E8": (E8, (2, 8, 12, 14, 18, 20, 24, 30), 10_000),
     "I2(129)": (dynkin(2, ((0, 1, 129),)), (2, 129), 10_000),
     "I2(1000)": (dynkin(2, ((0, 1, 1000),)), (2, 1000), 10_000),
 }

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -17,7 +19,7 @@ from garland.errors import (
 )
 from garland.linalg import max_abs, sym_eigs
 
-from conftest import load_fixture
+from conftest import AFFINE, labelling, load_fixture
 
 
 def cox_of(name):
@@ -95,6 +97,46 @@ def test_min_thickness_matches_the_linear_search():
         assert g.min_thickness(np.array([[mu]])) == linear_min_thickness(mu), mu
 
 
+def closed_form_min_thickness(mu):
+    """The search from the real root of threshold(q) = mu: with a = 1 - mu,
+    sqrt(q) = a + sqrt(a^2 - 1); it gallops out from the floor of that q
+    until a failing q sits below a passing one, then bisects."""
+    def passes(q):
+        return mu > g.threshold(q)
+
+    a = 1.0 - mu
+    root = a + math.sqrt((a - 1.0) * (a + 1.0)) if a > 1.0 else 1.0
+    above = max(2, math.floor(root * root))
+    below, step = above - 1, 1
+    while not passes(above):
+        below, above, step = above, above + step, 2 * step
+    step = 1
+    while below >= 2 and passes(below):
+        above, below, step = below, max(1, below - step), 2 * step
+    while above - below > 1:
+        mid = (above + below) // 2
+        if passes(mid):
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+def test_min_thickness_on_a_log_grid():
+    # below q = 1e15 the float threshold decreases with q, so the smallest
+    # passing q is the linear search's and the closed-form search's alike;
+    # above it the float threshold is not monotone (at the grid's
+    # mu = -35622101.317747034 this search gives 5075736694144155 and the
+    # closed-form one 5075736694144153), so there only the strict test at q
+    # and q - 1 is asserted
+    for mu in -np.logspace(0.0, math.log10(1e15 / 4), 20001):
+        q = g.min_thickness(np.array([[mu]]))
+        assert mu > g.threshold(q), mu
+        assert q == 2 or mu <= g.threshold(q - 1), mu
+        if q < 1e15:
+            assert q == closed_form_min_thickness(mu), mu
+
+
 def test_min_thickness_work_grows_like_log_q():
     g.min_thickness(np.array([[0.0]]))  # first-call costs stay out of the timing
     start = time.perf_counter()
@@ -148,6 +190,44 @@ def test_vanishing_report_inapplicable_inputs():
             g.vanishing_report(excluded, 4)
     with pytest.raises(ValidationError):
         g.vanishing_report(cox_of("a3.json"), 1)
+
+
+@pytest.mark.parametrize("name", list(AFFINE))
+def test_affine_types_pass_at_the_smallest_thickness(name):
+    # an affine cosine matrix is semidefinite, so mu = 0 lies above every
+    # threshold and q = 2 already passes, with every verdict asserted
+    cox = AFFINE[name]
+    assert g.classify_coxeter(cox) == "affine"
+    assert g.min_thickness(g.coxeter_cosine(cox)) == 2
+    report = g.vanishing_report(cox, 2)
+    assert report.coxeter_class == "affine"
+    assert abs(report.mu_tilde) <= 1e-14
+    assert report.criterion_met and not report.borderline
+    assert report.lower_bound_min_eig > 0
+    kinds = [v.kind for v in report.verdicts]
+    for kind in ("building_cohomology", "group_cohomology", "group_cohomology_affine"):
+        assert kinds.count(kind) == report.building_dim - 1
+    assert all(v.asserted for v in report.verdicts)
+
+
+def test_lower_bound_eigenvalue_is_the_shifted_mu():
+    # every rank-3 labelling with buildable labels and a seeded sample of
+    # rank 4: the report's closed form s (mu - threshold) is the smallest
+    # eigenvalue of its lower-bound matrix, positive exactly when the
+    # criterion is met
+    labels = (2, 3, 4, 6, 8)
+    systems = [labelling(3, choice) for choice in itertools.product(labels, repeat=3)]
+    rng = random.Random(4)
+    systems += [labelling(4, rng.choices(labels, k=6)) for _ in range(200)]
+    met = set()
+    for cox in systems:
+        for q in (2, 3, 4, 7, 16, 29):
+            report = g.vanishing_report(cox, q)
+            assert report.criterion_met == (report.lower_bound_min_eig > 0), (cox.m, q)
+            direct = sym_eigs(report.lower_bound_matrix).eigenvalues[0]
+            assert abs(report.lower_bound_min_eig - direct) <= 1e-14, (cox.m, q)
+            met.add(report.criterion_met)
+    assert met == {True, False}
 
 
 def test_criterion_monotone_in_q():
