@@ -2,25 +2,40 @@
 
 A complex is stored by its facets.  Its types are those of its vertices, and
 one pass in facet order checks that each facet is new, declared, and holds
-one vertex of each type, so an error names the first bad facet.  Queries go
-through one index: `faces(types)` groups the facets by their face of one type
-set, listing the simplices of that type with the indices of their facets in
-facet order.  The star of a simplex, the facets containing it, is its entry in
-the grouping of its own type set, and its link is read off that star.  A
-complex keeps only its last grouping, so the links taken for the faces of one
-type set read their stars from one facet scan.  A link is again a partite
-complex; a 1-dimensional one is a bipartite graph whose edges are its facets.
+one vertex of each type, so an error names the first bad facet.  The same
+facets are also kept, on first use, as the facet array: one row per facet
+and one column per type, holding dense vertex indices ranked by id.  Grouping
+its rows by every column but one gives the panels of each cotype, from one
+stable lexsort per column, and the smallest panel is the thickness.
+
+Links go through one index: `faces(types)` groups the facets by their face
+of one type set, listing the simplices of that type with the indices of
+their facets in facet order.  The star of a simplex, the facets containing
+it, is its entry in the grouping of its own type set, and its link is read
+off that star.  A complex keeps only its last grouping, so the links taken
+for the faces of one type set read their stars from one facet scan.  A link
+is again a partite complex; a 1-dimensional one is a bipartite graph whose
+edges are its facets.
+
+`validate_complex` decides B2, that every link is gallery connected, without
+taking a link.  The link of a simplex of type T is gallery connected exactly
+when its star is one residue of cotype types - T: the facets it reaches
+through panels of those cotypes (Abramenko and Brown, Buildings, GTM 248, on
+residues).  So each type set labels the facets by residue once, and a face
+fails when its facets carry two labels.  Sizes are checked upward, and the
+offender is the smallest failing simplex, as a sorted vertex list, of the
+lowest dimension that has one.
 
 The cosine matrix of an n-dimensional complex collects, for every unordered
 type pair {i, j}, the second largest random-walk eigenvalue over the links of
-codimension-2 simplices whose cotype is {i, j}.  Those links are handled a
-cotype at a time: links of one vertex count become one stack of adjacency
-matrices, so their walk spectra are one stacked `eigvalsh` call, and their
-diameters and cycle flags (for the Coxeter-complex check) come from boolean
-powers and degrees of the same stack.  `validate_complex` proves every link
-connected (B2) before this pass, which therefore re-checks none; otherwise its
-offender is the smallest failing simplex, as a sorted vertex list, of the
-lowest dimension that has one.
+codimension-2 simplices whose cotype is {i, j}.  This walk pass is the only
+code here that takes links; `link_of` and `gallery_connected` stay public,
+but no check here calls `gallery_connected`.  Links are handled a cotype at
+a time: links of one vertex count become stacks of adjacency matrices, so
+their walk spectra are stacked `eigvalsh` calls, and their diameters and
+cycle flags (for the Coxeter-complex check) come from boolean powers and
+degrees of the same stacks.  B2 is proved before this pass, which therefore
+re-checks no link.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +55,8 @@ from .subspaces import CosineMatrix
 # the walk pass stacks one dense v x v adjacency matrix per link and squares
 # it up to the diameter: in process on a 2-CPU machine, one even cycle, its
 # own link, takes 0.5 s and 79 MB at v = 1024, 4.4 s and 209 MB at v = 2048
-# and 21 s and 705 MB at v = 4000
+# and 21 s and 705 MB at v = 4000; a stack of several links holds at most
+# MAX_LINK_VERTICES**2 entries
 MAX_LINK_VERTICES = 1024
 
 
@@ -108,6 +125,73 @@ class PartiteComplex:
             groups.setdefault(f & kept, []).append(idx)
         last[:] = (keep, groups)
         return groups
+
+    @cached_property
+    def facet_array(self) -> np.ndarray:
+        """The facets as a read-only (facets, types) int array: row k is
+        facet k, column c holds its vertex of type types[c], and a vertex is
+        its rank among the sorted vertex ids, so index order is id order."""
+        ids = sorted(self.vertex_types)
+        index = {v: i for i, v in enumerate(ids)}
+        column_of_type = {t: c for c, t in enumerate(self.types)}
+        column = np.array([column_of_type[self.vertex_types[v]] for v in ids], dtype=np.intp)
+        count, width = len(self.facets), len(self.types)
+        vertices = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(self.facets)),
+            dtype=np.intp,
+            count=count * width,
+        )
+        chambers = np.empty((count, width), dtype=np.intp)
+        chambers[np.arange(count).repeat(width), column[vertices]] = vertices
+        chambers.flags.writeable = False
+        return chambers
+
+    @cached_property
+    def _panels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """For each column c, the facets grouped by their panel of cotype
+        {types[c]}, that is, by every other column: the order and run bounds
+        of `_row_groups`, and the group of each facet."""
+        chambers = self.facet_array
+        columns = range(chambers.shape[1])
+        panels = []
+        for c in columns:
+            order, bounds = _row_groups(chambers[:, [k for k in columns if k != c]])
+            group = np.empty(len(order), dtype=np.intp)
+            group[order] = np.arange(len(bounds) - 1).repeat(np.diff(bounds))
+            panels.append((order, bounds, group))
+        return tuple(panels)
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts the rows of a 2-dimensional int array,
+    and the bounds of its runs of equal rows: run k is the rows
+    order[bounds[k]:bounds[k + 1]]."""
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    new = np.ones(len(rows) + 1, dtype=bool)
+    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
+
+
+def _residue_labels(x: PartiteComplex, columns) -> np.ndarray:
+    """Label each facet by the smallest facet index in its residue of the
+    cotype whose columns are given: the facets it reaches through panels of
+    those cotypes.
+
+    Each sweep lowers every facet's label to the smallest in each of its
+    panels in turn, then to the label of its label (which lies in the same
+    residue), until a sweep changes nothing.
+    """
+    panels = [x._panels[c] for c in columns]
+    label = np.arange(len(x.facets))
+    settled = False
+    while not settled:
+        before = label
+        for order, bounds, group in panels:
+            label = np.minimum.reduceat(label[order], bounds[:-1])[group]
+        label = label[label]
+        settled = np.array_equal(label, before)
+    return label
 
 
 def load_complex(data) -> PartiteComplex:
@@ -227,24 +311,22 @@ def thickness(x: PartiteComplex) -> int:
     """Minimum number of facets containing a codimension-1 simplex."""
     if x.n < 0:
         raise ValidationError("thickness undefined for the empty complex")
-    return min(
-        len(members)
-        for ts in itertools.combinations(x.types, x.n)
-        for members in x.faces(ts).values()
-    )
+    return min(int(np.diff(bounds).min()) for _, bounds, _ in x._panels)
 
 
 def _walk_spectra(links) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second walk eigenvalue, diameter and cycle flag of each 1-dimensional
     complex in `links`, as three arrays in the order of `links`.
 
-    Links of one vertex count share a (k, v, v) adjacency stack, rows in
-    sorted-vertex order, and one `sym_eigs` call on their degree-symmetrized
-    walk matrices, with entries adjacency[u][v] / sqrt(d(u) d(v)); these share
-    the walks' spectra.  A zero-degree vertex keeps a zero row, so its link
-    still has a (meaningless) eigenvalue.  The diameter is the least d with
-    (I + A)^d positive everywhere, or -1 when there is none, that is, when
-    the link is not connected; a cycle is connected with every degree 2.
+    Links of one vertex count share (k, v, v) adjacency stacks, rows in
+    sorted-vertex order, cut so that a stack of more than one link holds at
+    most `MAX_LINK_VERTICES`**2 entries, and one `sym_eigs` call per stack
+    on their degree-symmetrized walk matrices, with entries
+    adjacency[u][v] / sqrt(d(u) d(v)); these share the walks' spectra.  A
+    zero-degree vertex keeps a zero row, so its link still has a
+    (meaningless) eigenvalue.  The diameter is the least d with (I + A)^d
+    positive everywhere, or -1 when there is none, that is, when the link is
+    not connected; a cycle is connected with every degree 2.
     """
     for x in links:
         if x.n != 1:
@@ -255,22 +337,25 @@ def _walk_spectra(links) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by_size: dict[int, list[int]] = {}
     for idx, x in enumerate(links):
         by_size.setdefault(len(x.vertex_types), []).append(idx)
-    for size, members in by_size.items():
-        layer, rows, cols = [], [], []
-        for k, idx in enumerate(members):
-            pos = {v: i for i, v in enumerate(sorted(links[idx].vertex_types))}
-            for a, b in links[idx].facets:
-                layer.append(k)
-                rows.append(pos[a])
-                cols.append(pos[b])
-        adj = np.zeros((len(members), size, size))
-        adj[layer, rows, cols] = adj[layer, cols, rows] = 1.0
-        degree = adj.sum(axis=2)
-        d = np.maximum(degree, 1.0)
-        walk = adj / np.sqrt(d[:, :, None] * d[:, None, :])
-        second[members] = sym_eigs(walk).eigenvalues[:, -2]
-        diameter[members] = _diameters(adj)
-        cycle[members] = (degree == 2).all(axis=1) & (diameter[members] >= 0)
+    for size, same_size in by_size.items():
+        step = max(1, MAX_LINK_VERTICES**2 // size**2)
+        for start in range(0, len(same_size), step):
+            members = same_size[start : start + step]
+            layer, rows, cols = [], [], []
+            for k, idx in enumerate(members):
+                pos = {v: i for i, v in enumerate(sorted(links[idx].vertex_types))}
+                for a, b in links[idx].facets:
+                    layer.append(k)
+                    rows.append(pos[a])
+                    cols.append(pos[b])
+            adj = np.zeros((len(members), size, size))
+            adj[layer, rows, cols] = adj[layer, cols, rows] = 1.0
+            degree = adj.sum(axis=2)
+            d = np.maximum(degree, 1.0)
+            walk = adj / np.sqrt(d[:, :, None] * d[:, None, :])
+            second[members] = sym_eigs(walk).eigenvalues[:, -2]
+            diameter[members] = _diameters(adj)
+            cycle[members] = (degree == 2).all(axis=1) & (diameter[members] >= 0)
     return second, diameter, cycle
 
 
@@ -328,19 +413,30 @@ class ComplexValidation:
 
 
 def validate_complex(x: PartiteComplex) -> ComplexValidation:
-    """Report the checkable structure conditions for a complex."""
-    used = set().union(*x.facets)
-    orphans = tuple(sorted(v for v in x.vertex_types if v not in used))
+    """Report the checkable structure conditions for a complex.
+
+    B2 is decided by residue labels of the facet array, one type set at a
+    time, so no link is taken.
+    """
+    chambers = x.facet_array
+    used = np.zeros(len(x.vertex_types), dtype=bool)
+    used[chambers] = True
+    ids = sorted(x.vertex_types)
+    orphans = tuple(ids[i] for i in np.flatnonzero(~used))
     offender = None
+    columns = range(len(x.types))
     for size in range(x.n):
-        failing = [
-            sorted(sigma)
-            for ts in itertools.combinations(x.types, size)
-            for sigma in x.faces(ts)
-            if not gallery_connected(link_of(x, sigma))
-        ]
+        failing = []
+        for face_columns in itertools.combinations(columns, size):
+            label = _residue_labels(x, [c for c in columns if c not in face_columns])
+            residues = np.flatnonzero(label == np.arange(len(label)))
+            # a residue lies in one face, so a face with two is a failing one
+            faces = chambers[residues][:, list(face_columns)]
+            order, bounds = _row_groups(faces)
+            repeated = np.diff(bounds) > 1
+            failing += (sorted(faces[order[i]]) for i in bounds[:-1][repeated])
         if failing:
-            offender = tuple(min(failing))
+            offender = tuple(ids[i] for i in min(failing))
             break
     return ComplexValidation(
         partite=True,  # enforced at construction

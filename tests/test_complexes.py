@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from garland.complexes import (
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import cycle_complex, json_values, load_fixture
+from conftest import FIXTURES, IRREDUCIBLE, cycle_complex, json_values, load_fixture
 
 
 def octahedron():
@@ -131,6 +132,108 @@ def test_b2_offender_is_the_smallest_failing_simplex():
     assert apart.b2_offender == ()
 
 
+def b2_by_links(x):
+    """B2 and its offender by links: every face, lowest size first, is asked
+    for `gallery_connected(link_of(x, sigma))`, and the offender is the
+    smallest failing sorted vertex list of the lowest failing size."""
+    for size in range(x.n):
+        failing = [
+            sorted(sigma)
+            for ts in itertools.combinations(x.types, size)
+            for sigma in x.faces(ts)
+            if not gallery_connected(link_of(x, sigma))
+        ]
+        if failing:
+            return False, tuple(min(failing))
+    return True, None
+
+
+def assert_b2_matches_links(x):
+    v = g.validate_complex(x)
+    assert (v.b2_links_gallery_connected, v.b2_offender) == b2_by_links(x)
+
+
+# new ids for the vertices of the grid complexes (0..8) and of the two
+# pinched octahedra (0..5, 10, 13..15), out of id order, past the int64
+# range, and with the failing vertices 0 and 10 renamed 10**30 and -7
+WIDE_IDS = {
+    0: 10**30, 1: 2**63, 2: -(10**40), 3: 3, 4: 0, 5: 10**30 + 1, 6: -1, 7: 5,
+    8: 2**64, 10: -7, 13: 6, 14: -2, 15: 7,
+}
+
+
+def renamed(x, ids):
+    """x with vertex v renamed ids[v]."""
+    return g.PartiteComplex(
+        {ids[v]: t for v, t in x.vertex_types.items()},
+        tuple(frozenset(map(ids.__getitem__, f)) for f in x.facets),
+    )
+
+
+def coned_octahedra():
+    """The pinched octahedron coned from apex -7 and the octahedron coned
+    from apex 10**30, both apexes of type 3.  Every vertex link is gallery
+    connected, and the one failing link is that of the edge {0, -7}: the two
+    edges of the pinched vertex 0."""
+    pinched, whole = load_fixture("pinched_octahedron.json"), load_fixture("octahedron.json")
+    vt = {entry["id"]: entry["type"] for entry in whole["vertices"]} | {-7: 3, 10**30: 3}
+    cones = ((-7, pinched), (10**30, whole))
+    return g.PartiteComplex(
+        vt, tuple(frozenset(f) | {apex} for apex, doc in cones for f in doc["facets"])
+    )
+
+
+def complex_fixtures():
+    docs = {path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
+    return {name: g.load_complex(doc) for name, doc in docs.items() if "facets" in doc}
+
+
+def b2_test_complexes():
+    chambers = {
+        name: g.build_coxeter_complex(IRREDUCIBLE[name][0]).complex
+        for name in ("A3", "B3", "H3", "A4", "D4", "B4", "F4")
+    }
+    pinched = two_pinched_octahedra(shared={1, 2})
+    return {
+        **complex_fixtures(),
+        "two pinched octahedra, glued": pinched,
+        "two pinched octahedra, apart": two_pinched_octahedra(shared=set()),
+        "two pinched octahedra, wide ids": renamed(pinched, WIDE_IDS),
+        "coned octahedra": coned_octahedra(),
+        **chambers,
+    }
+
+
+B2_COMPLEXES = b2_test_complexes()
+
+
+@pytest.mark.parametrize("x", B2_COMPLEXES.values(), ids=B2_COMPLEXES.keys())
+def test_b2_by_residues_matches_b2_by_links(x):
+    assert_b2_matches_links(x)
+    assert g.thickness(x) == brute_thickness(x)
+
+
+def test_b2_offender_with_wide_ids():
+    x = renamed(two_pinched_octahedra(shared={1, 2}), WIDE_IDS)
+    v = g.validate_complex(x)
+    assert v.b2_offender == (-7,)  # vertex 10, met before vertex 0's 10**30
+    assert (v.b2_links_gallery_connected, v.b2_offender) == b2_by_links(x)
+    # a sorted vertex list, not one in type order
+    assert g.validate_complex(coned_octahedra()).b2_offender == (-7, 0)
+
+
+def test_validate_complex_takes_no_link(monkeypatch):
+    calls = []
+    for name in ("link_of", "gallery_connected"):
+        original = getattr(g.complexes, name)
+        monkeypatch.setattr(
+            g.complexes, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    for x in B2_COMPLEXES.values():
+        g.validate_complex(x)
+    assert calls == []
+
+
 def test_thickness():
     assert g.thickness(octahedron()) == 2
     assert g.thickness(g.load_complex(load_fixture("heawood.json"))) == 3
@@ -177,6 +280,37 @@ def test_cycle_complexes():
         cycle_complex(5)
     with pytest.raises(ValidationError):
         cycle_complex(2)
+
+
+def test_walk_pass_slices_its_stacks(monkeypatch):
+    # 8-vertex links: three 8-cycles under different ids, K_{4,4}, and two
+    # squares apart
+    cycles = [renamed(cycle_complex(8), [v + shift for v in range(8)]) for shift in (0, 3, 90)]
+    k44 = g.PartiteComplex(
+        {v: v % 2 for v in range(8)},
+        tuple(frozenset({a, b}) for a in range(0, 8, 2) for b in range(1, 8, 2)),
+    )
+    squares = g.PartiteComplex(
+        {v: v % 2 for v in range(8)},
+        tuple(frozenset({base + i, base + (i + 1) % 4}) for base in (0, 4) for i in range(4)),
+    )
+    links = [*cycles, k44, squares]
+    unsliced = _walk_spectra(links)
+    shapes = []
+    original = g.complexes.sym_eigs
+
+    def recording_sym_eigs(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(g.complexes, "MAX_LINK_VERTICES", 8)
+    monkeypatch.setattr(g.complexes, "sym_eigs", recording_sym_eigs)
+    sliced = _walk_spectra(links)
+    assert shapes == [(1, 8, 8)] * len(links)
+    for before, after in zip(unsliced, sliced):
+        assert before.tolist() == after.tolist()
+    assert sliced[1].tolist() == [4, 4, 4, 2, -1]
+    assert sliced[2].tolist() == [True, True, True, False, False]
 
 
 def test_walk_rejects_disconnected():
@@ -363,8 +497,13 @@ def test_facet_index_matches_brute_force(x):
     candidates.append(frozenset({max(x.vertex_types) + 1}))
     for sigma in candidates:
         assert x.star(sigma) == [i for i, f in enumerate(facets) if sigma <= f]
-    panels = {frozenset(c) for f in facets for c in itertools.combinations(f, x.n)}
-    assert g.thickness(x) == min(sum(p <= f for f in facets) for p in panels)
+    assert g.thickness(x) == brute_thickness(x)
+
+
+def brute_thickness(x):
+    """The smallest count of facets over every codimension-1 simplex."""
+    panels = {frozenset(c) for f in x.facets for c in itertools.combinations(f, x.n)}
+    return min(sum(p <= f for f in x.facets) for p in panels)
 
 
 def test_faces_keeps_only_the_last_grouping():
@@ -419,6 +558,15 @@ _grid_facets = st.lists(
     max_size=27,
     unique_by=tuple,
 )
+
+
+@settings(deadline=None)
+@given(_grid_facets)
+def test_b2_and_thickness_on_random_complexes(facets):
+    x = g.PartiteComplex({v: v // 3 for v in set().union(*facets)}, tuple(map(frozenset, facets)))
+    for y in (x, renamed(x, WIDE_IDS)):
+        assert_b2_matches_links(y)
+        assert g.thickness(y) == brute_thickness(y)
 
 
 @settings(deadline=None)

@@ -523,6 +523,13 @@ def test_h4_complex_shape():
     assert g.thickness(x) == 2
 
 
+def test_h4_cosine_check():
+    check = coxeter_complex_cosine_check(H4, cap=20000)
+    assert check.complex_report.validation.b2_links_gallery_connected
+    assert check.links_ok
+    assert check.max_deviation <= 1e-12
+
+
 def test_cosine_check_report():
     cox = cox_of("b2.json")
     check = coxeter_complex_cosine_check(cox)
@@ -544,10 +551,11 @@ def test_cosine_check_builds_each_link_once_per_pass(monkeypatch):
     monkeypatch.setattr(g.complexes, "link_of", counting_link_of)
     cox = cox_of("a3.json")
     check = coxeter_complex_cosine_check(cox)
-    # B2 takes the empty simplex and the 14 vertices; the walk pass takes the
-    # 14 vertices again, and the cycle check reads what the walk pass saw
-    assert len(calls) == 29
-    assert len(set(calls)) == 15
+    # B2 is decided on residue labels and takes no link; the walk pass takes
+    # each of the 14 vertex links once, and the cycle check reads what the
+    # walk pass saw
+    assert len(calls) == 14
+    assert len(set(calls)) == 14
     assert check.links_ok
     for (i, j), link in check.link_checks.items():
         spec = check.complex_report.per_pair[(i, j)]
