@@ -8,14 +8,14 @@ and one column per type, holding dense vertex indices ranked by id.  Grouping
 its rows by every column but one gives the panels of each cotype, from one
 stable lexsort per column, and the smallest panel is the thickness.
 
-Links go through one index: `faces(types)` groups the facets by their face
-of one type set, listing the simplices of that type with the indices of
-their facets in facet order.  The star of a simplex, the facets containing
-it, is its entry in the grouping of its own type set, and its link is read
-off that star.  A complex keeps only its last grouping, so the links taken
-for the faces of one type set read their stars from one facet scan.  A link
-is again a partite complex; a 1-dimensional one is a bipartite graph whose
-edges are its facets.
+`faces(types)` groups the facets by their face of one type set, listing the
+simplices of that type with the indices of their facets in facet order.  The
+star of a simplex, the facets containing it, is its entry in the grouping of
+its own type set, and `link_of` reads its link off that star.  A link is
+again a partite complex; a 1-dimensional one is a bipartite graph whose edges
+are its facets.  `faces`, `star`, `link_of` and `gallery_connected` stay
+public, but nothing in this library calls them: both checks below read the
+facet array instead.
 
 `validate_complex` decides B2, that every link is gallery connected, without
 taking a link.  The link of a simplex of type T is gallery connected exactly
@@ -28,14 +28,15 @@ lowest dimension that has one.
 
 The cosine matrix of an n-dimensional complex collects, for every unordered
 type pair {i, j}, the second largest random-walk eigenvalue over the links of
-codimension-2 simplices whose cotype is {i, j}.  This walk pass is the only
-code here that takes links; `link_of` and `gallery_connected` stay public,
-but no check here calls `gallery_connected`.  Links are handled a cotype at
-a time: links of one vertex count become stacks of adjacency matrices, so
-their walk spectra are stacked `eigvalsh` calls, and their diameters and
-cycle flags (for the Coxeter-complex check) come from boolean powers and
-degrees of the same stacks.  B2 is proved before this pass, which therefore
-re-checks no link.
+codimension-2 simplices whose cotype is {i, j}.  Those links are row groups
+of the facet array: the facets that agree on every column but those of i and
+j form the star of one such simplex, and its link is the bipartite graph on
+those two columns whose edges are these facets.  The walk pass reads every
+link of every pair as arrays of vertex counts and edges, and stacks links of
+one vertex count as adjacency matrices, so their walk spectra are stacked
+`eigvalsh` calls, and their diameters and cycle flags (for the
+Coxeter-complex check) come from boolean powers and degrees of the same
+stacks.  B2 is proved before this pass, which therefore re-checks no link.
 """
 
 from __future__ import annotations
@@ -314,42 +315,78 @@ def thickness(x: PartiteComplex) -> int:
     return min(int(np.diff(bounds).min()) for _, bounds, _ in x._panels)
 
 
-def _walk_spectra(links) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second walk eigenvalue, diameter and cycle flag of each 1-dimensional
-    complex in `links`, as three arrays in the order of `links`.
+def _codimension_2_links(x: PartiteComplex):
+    """Every codimension-2 link, read off the facet array as arrays.
 
-    Links of one vertex count share (k, v, v) adjacency stacks, rows in
-    sorted-vertex order, cut so that a stack of more than one link holds at
-    most `MAX_LINK_VERTICES`**2 entries, and one `sym_eigs` call per stack
-    on their degree-symmetrized walk matrices, with entries
-    adjacency[u][v] / sqrt(d(u) d(v)); these share the walks' spectra.  A
-    zero-degree vertex keeps a zero row, so its link still has a
-    (meaningless) eigenvalue.  The diameter is the least d with (I + A)^d
-    positive everywhere, or -1 when there is none, that is, when the link is
-    not connected; a cycle is connected with every degree 2.
+    For each column pair (i, j), one `_row_groups` call on the other columns
+    groups the facets into the stars of the simplices of cotype {types[i],
+    types[j]}; a star's facets are the edges of its simplex's link, a
+    bipartite graph on columns i and j.  Runs are numbered by their leaders,
+    their smallest facet indices (the sort is stable), which is `faces()`
+    order.  Returns each pair's slice of the links, in
+    `itertools.combinations` order; each link's face as a row of vertex
+    indices, and its vertex count; and each edge's link and the rows of its
+    two ends, a vertex's row being its rank by id among its link's vertices.
     """
-    for x in links:
-        if x.n != 1:
-            raise ValidationError(f"expected a 1-dimensional complex, got dimension {x.n}")
-    second = np.empty(len(links))
-    diameter = np.empty(len(links), dtype=int)
-    cycle = np.empty(len(links), dtype=bool)
-    by_size: dict[int, list[int]] = {}
-    for idx, x in enumerate(links):
-        by_size.setdefault(len(x.vertex_types), []).append(idx)
-    for size, same_size in by_size.items():
+    chambers = x.facet_array
+    width = chambers.shape[1]
+    vertices = len(x.vertex_types)
+    ranges, parts, start = {}, [], 0
+    for pair in itertools.combinations(range(width), 2):
+        others = [c for c in range(width) if c not in pair]
+        order, bounds = _row_groups(chambers[:, others])
+        leader = np.empty(len(order), dtype=np.intp)
+        leader[order] = order[bounds[:-1]].repeat(np.diff(bounds))
+        leaders, link = np.unique(leader, return_inverse=True)
+        # each (link, vertex) pair of the two columns once, in that order
+        keys = (link * vertices + chambers[:, pair].T).ravel()
+        found, index = np.unique(keys, return_inverse=True)
+        sizes = np.bincount(found // vertices, minlength=len(leaders))
+        rows, cols = index.reshape(2, -1) - (np.cumsum(sizes) - sizes)[link]
+        parts.append((chambers[leaders][:, others], sizes, start + link, rows, cols))
+        ranges[pair] = slice(start, start + len(leaders))
+        start += len(leaders)
+    return ranges, *map(np.concatenate, zip(*parts))
+
+
+def _walk_spectra(sizes, link, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second walk eigenvalue, diameter and cycle flag of each 1-dimensional
+    link, as three arrays in link order: link k has sizes[k] vertices, and
+    edge e joins rows rows[e] and cols[e] of link link[e].
+
+    Links of one vertex count share (k, v, v) adjacency stacks, cut so that a
+    stack of more than one link holds at most `MAX_LINK_VERTICES`**2
+    entries, and one `sym_eigs` call per stack on their degree-symmetrized
+    walk matrices, with entries adjacency[u][v] / sqrt(d(u) d(v)); these
+    share the walks' spectra.  Links and edges are sorted once by (vertex
+    count, link), so each stack is a range of both.  A zero-degree vertex
+    keeps a zero row, so its link still has a (meaningless) eigenvalue.  The
+    diameter is the least d with (I + A)^d positive everywhere, or -1 when
+    there is none, that is, when the link is not connected; a cycle is
+    connected with every degree 2.
+    """
+    count = len(sizes)
+    second = np.empty(count)
+    diameter = np.empty(count, dtype=int)
+    cycle = np.empty(count, dtype=bool)
+    by_size = np.argsort(sizes, kind="stable")
+    slot = np.empty(count, dtype=np.intp)
+    slot[by_size] = np.arange(count)
+    layer = slot[link]
+    edges = np.argsort(layer, kind="stable")
+    layer, rows, cols = layer[edges], rows[edges], cols[edges]
+    first_edge = np.searchsorted(layer, np.arange(count + 1))
+    ordered = sizes[by_size]
+    for size in np.unique(sizes).tolist():
         step = max(1, MAX_LINK_VERTICES**2 // size**2)
-        for start in range(0, len(same_size), step):
-            members = same_size[start : start + step]
-            layer, rows, cols = [], [], []
-            for k, idx in enumerate(members):
-                pos = {v: i for i, v in enumerate(sorted(links[idx].vertex_types))}
-                for a, b in links[idx].facets:
-                    layer.append(k)
-                    rows.append(pos[a])
-                    cols.append(pos[b])
-            adj = np.zeros((len(members), size, size))
-            adj[layer, rows, cols] = adj[layer, cols, rows] = 1.0
+        low, high = np.searchsorted(ordered, [size, size + 1])
+        for start in range(low, high, step):
+            stop = min(start + step, high)
+            members = by_size[start:stop]
+            span = slice(first_edge[start], first_edge[stop])
+            at, r, c = layer[span] - start, rows[span], cols[span]
+            adj = np.zeros((stop - start, size, size))
+            adj[at, r, c] = adj[at, c, r] = 1.0
             degree = adj.sum(axis=2)
             d = np.maximum(degree, 1.0)
             walk = adj / np.sqrt(d[:, :, None] * d[:, None, :])
@@ -478,10 +515,11 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     over every codimension-2 simplex whose cotype is {i, j}; representatives
     may disagree when the complex is not link-homogeneous, in which case the
     maximum is used (the conservative choice for definiteness verdicts) and
-    the disagreement is reported.  A link of more than `MAX_LINK_VERTICES`
-    vertices is refused before its walk spectrum is computed, and so is a
+    the disagreement is reported.  The links are read off the facet array,
+    and no link complex is built.  A link of more than `MAX_LINK_VERTICES`
+    vertices is refused before any walk spectrum is computed, and so is a
     cotype whose links are all single edges, whose walk eigenvalue -1 admits
-    no cosine.
+    no cosine; pairs are checked in order, each for both refusals.
     """
     val = validate_complex(x)
     if not val.pure:
@@ -492,42 +530,41 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
     if x.n < 1:
         raise ValidationError("cosine matrix needs a complex of dimension at least 1")
     types = x.types
-    count = len(types)
-    pos = {t: i for i, t in enumerate(types)}
-    matrix = np.eye(count)
-    per_pair: dict[tuple[int, int], PairSpectrum] = {}
-    for ti, tj in itertools.combinations(types, 2):
-        reps = x.faces(t for t in types if t not in (ti, tj))
-        # validate_complex has proved every link connected (B2)
-        links = [link_of(x, sigma) for sigma in reps]
-        lengths = tuple(len(link.vertex_types) for link in links)
-        for sigma, length in zip(reps, lengths):
-            if length > MAX_LINK_VERTICES:
-                where = f"link of {sorted(sigma)}" if sigma else "the complex itself"
-                raise ValidationError(
-                    f"{where} has {length} vertices; the walk pass "
-                    f"takes at most {MAX_LINK_VERTICES}"
-                )
+    ranges, faces, sizes, *edges = _codimension_2_links(x)
+    for (i, j), own in ranges.items():
+        over = own.start + np.flatnonzero(sizes[own] > MAX_LINK_VERTICES)
+        if over.size:
+            ids = sorted(x.vertex_types)
+            face = sorted(ids[v] for v in faces[over[0]])
+            where = f"link of {face}" if face else "the complex itself"
+            raise ValidationError(
+                f"{where} has {int(sizes[over[0]])} vertices; the walk pass "
+                f"takes at most {MAX_LINK_VERTICES}"
+            )
         # a connected bipartite link has its walk spectrum symmetric about 0,
         # so its second eigenvalue is -1 on a single edge and at least 0 on 3
         # or more vertices
-        if max(lengths) == 2:
+        if sizes[own].max() == 2:
             raise ValidationError(
-                f"pair {{{ti},{tj}}}: walk eigenvalue -1 is negative "
+                f"pair {{{types[i]},{types[j]}}}: walk eigenvalue -1 is negative "
                 "(a single-edge link; too thin to admit a cosine matrix)"
             )
-        lambdas, diameters, cycles = _walk_spectra(links)
+    # validate_complex has proved every link connected (B2)
+    second, diameter, cycle = _walk_spectra(sizes, *edges)
+    matrix = np.eye(len(types))
+    per_pair: dict[tuple[int, int], PairSpectrum] = {}
+    for (i, j), own in ranges.items():
+        lambdas = second[own]
         lam = max(float(lambdas.max()), 0.0)  # round-off may fall below 0
-        per_pair[(ti, tj)] = PairSpectrum(
+        per_pair[(types[i], types[j])] = PairSpectrum(
             second_eigenvalue=lam,
-            representatives=len(reps),
+            representatives=len(lambdas),
             max_disagreement=float(lambdas.max() - lambdas.min()),
-            link_diameter=int(diameters.max()),
-            link_lengths=lengths,
-            all_cycles=bool(cycles.all()),
+            link_diameter=int(diameter[own].max()),
+            link_lengths=tuple(sizes[own].tolist()),
+            all_cycles=bool(cycle[own].all()),
         )
-        matrix[pos[ti], pos[tj]] = -lam
-        matrix[pos[tj], pos[ti]] = -lam
+        matrix[i, j] = matrix[j, i] = -lam
     return ComplexCosineReport(
         matrix=CosineMatrix(matrix),
         per_pair=per_pair,

@@ -463,7 +463,8 @@ def coxeter_complex_cosine_check(
     Each link of a codimension-2 simplex of cotype {i, j} must be a cycle of
     length 2 m[i][j], so its walk eigenvalue is cos(pi / m[i][j]) and the two
     matrices agree entrywise.  The link lengths and cycle flags come from the
-    walk pass of `cosine_matrix_of_complex`, which builds each link once.
+    walk pass of `cosine_matrix_of_complex`, which reads every link as a
+    group of rows of the facet array and builds no link complex.
     """
     built = build_coxeter_complex(cox, cap=cap)
     direct = coxeter_cosine(cox)

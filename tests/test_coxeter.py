@@ -551,11 +551,10 @@ def test_cosine_check_builds_each_link_once_per_pass(monkeypatch):
     monkeypatch.setattr(g.complexes, "link_of", counting_link_of)
     cox = cox_of("a3.json")
     check = coxeter_complex_cosine_check(cox)
-    # B2 is decided on residue labels and takes no link; the walk pass takes
-    # each of the 14 vertex links once, and the cycle check reads what the
-    # walk pass saw
-    assert len(calls) == 14
-    assert len(set(calls)) == 14
+    # B2 is decided on residue labels and the walk pass reads each link as
+    # one group of facet rows, so neither takes a link; the cycle check
+    # reads what the walk pass saw
+    assert calls == []
     assert check.links_ok
     for (i, j), link in check.link_checks.items():
         spec = check.complex_report.per_pair[(i, j)]
