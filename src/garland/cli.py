@@ -135,7 +135,7 @@ def cmd_analyze_complex(args, data) -> tuple[dict, list[str]]:
     result = {
         "n": x.n,
         "vertex_count": len(x.vertex_types),
-        "facet_count": len(x.facets),
+        "facet_count": len(x.facet_array),
         "validation": report.validation,
         "thickness": thickness(x),
         "cosine_matrix": report.matrix.matrix,

@@ -1,12 +1,14 @@
 """Partite simplicial complexes, links, and random-walk spectra of 1-dim links.
 
-A complex is stored by its facets.  Its types are those of its vertices, and
-one pass in facet order checks that each facet is new, declared, and holds
-one vertex of each type, so an error names the first bad facet.  The same
-facets are also kept, on first use, as the facet array: one row per facet
-and one column per type, holding dense vertex indices ranked by id.  Grouping
-its rows by every column but one gives the panels of each cotype, from one
-stable lexsort per column, and the smallest panel is the thickness.
+A complex is stored as its facet array: one row per facet and one column per
+type, holding dense vertex indices ranked by id.  Its types are those of its
+vertices.  Built from facets, one pass in facet order checks that each facet
+is new, declared, and holds one vertex of each type, so an error names the
+first bad facet; built from an array, as the Coxeter chamber complex is, the
+same checks run on whole columns.  The facets as frozensets of ids are
+derived on first use.  Grouping the rows by every column but one gives the
+panels of each cotype, from one stable lexsort per column, and the smallest
+panel is the thickness.
 
 `faces(types)` groups the facets by their face of one type set, listing the
 simplices of that type with the indices of their facets in facet order.  The
@@ -32,11 +34,14 @@ codimension-2 simplices whose cotype is {i, j}.  Those links are row groups
 of the facet array: the facets that agree on every column but those of i and
 j form the star of one such simplex, and its link is the bipartite graph on
 those two columns whose edges are these facets.  The walk pass reads every
-link of every pair as arrays of vertex counts and edges, and stacks links of
-one vertex count as adjacency matrices, so their walk spectra are stacked
-`eigvalsh` calls, and their diameters and cycle flags (for the
+link of every pair as arrays of vertex counts and edges, and groups links
+with equal adjacency matrices: in a building all links of one cotype are
+alike (F4 has 1392 links in 3 classes, E6 172800 in 2).  It stacks one link
+of each class per vertex count as adjacency matrices, so their walk spectra
+are stacked `eigvalsh` calls, and their diameters and cycle flags (for the
 Coxeter-complex check) come from boolean powers and degrees of the same
-stacks.  B2 is proved before this pass, which therefore re-checks no link.
+stacks; each class's results are then copied to all its links.  B2 is
+proved before this pass, which therefore re-checks no link.
 """
 
 from __future__ import annotations
@@ -61,19 +66,26 @@ from .subspaces import CosineMatrix
 MAX_LINK_VERTICES = 1024
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PartiteComplex:
-    """Pure partite simplicial complex given by typed vertices and facets."""
+    """Pure partite simplicial complex given by typed vertices and facets.
+
+    It keeps the facet array: a read-only (facets, types) int array whose
+    row k is facet k and whose column c holds its vertex of type types[c],
+    a vertex being its rank among the sorted vertex ids, so index order is
+    id order.  `facets`, one frozenset of ids per row, is derived on first
+    use.
+    """
 
     vertex_types: dict[int, int]
-    facets: tuple[frozenset[int], ...]
-    types: tuple[int, ...] = field(init=False)  # the sorted vertex types
+    types: tuple[int, ...]  # the sorted vertex types
+    facet_array: np.ndarray = field(repr=False)
     # the last (type set, grouping) pair that faces() built
-    _last_faces: list = field(init=False, default_factory=list, repr=False)
+    _last_faces: list = field(repr=False)
 
-    def __post_init__(self):
-        vt = dict(self.vertex_types)
-        facets = tuple(map(frozenset, self.facets))
+    def __init__(self, vertex_types, facets):
+        vt = dict(vertex_types)
+        facets = tuple(map(frozenset, facets))
         if not facets:
             raise ValidationError("a complex needs at least one facet")
         types = tuple(sorted(set(vt.values())))
@@ -94,9 +106,75 @@ class PartiteComplex:
                     f"facet {sorted(f)} must have exactly one vertex of each type "
                     f"{list(types)}, got types {sorted(map(vt.__getitem__, f))}"
                 )
-        object.__setattr__(self, "vertex_types", vt)
-        object.__setattr__(self, "facets", facets)
+        ids = sorted(vt)
+        index = {v: i for i, v in enumerate(ids)}
+        column = _columns(vt, ids, types)
+        count = len(facets)
+        vertices = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(facets)),
+            dtype=np.intp,
+            count=count * width,
+        )
+        chambers = np.empty((count, width), dtype=np.intp)
+        chambers[np.arange(count).repeat(width), column[vertices]] = vertices
+        self._keep(vt, types, chambers)
+
+    @classmethod
+    def from_facet_array(cls, vertex_types, chambers) -> PartiteComplex:
+        """The complex whose facet array is `chambers`, a copy of it.
+
+        The checks are those of the constructor, made on whole columns:
+        every index is in range, column c holds only vertices of type
+        types[c], and no row repeats.  Each error names the first bad row.
+        """
+        vt = dict(vertex_types)
+        types = tuple(sorted(set(vt.values())))
+        chambers = np.asarray(chambers)
+        if chambers.dtype.kind not in "iu" or chambers.shape[1:] != (len(types),):
+            raise ValidationError(
+                f"a facet array is an int array with one column per type {list(types)}, "
+                f"got shape {chambers.shape}"
+            )
+        if not len(chambers):
+            raise ValidationError("a complex needs at least one facet")
+        chambers = chambers.astype(np.intp)
+        ids = sorted(vt)
+        outside = ((chambers < 0) | (chambers >= len(ids))).any(axis=1)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValidationError(
+                f"facet row {k} {chambers[k].tolist()} has vertex indices outside 0..{len(ids) - 1}"
+            )
+        foreign = (_columns(vt, ids, types)[chambers] != np.arange(len(types))).any(axis=1)
+        if foreign.any():
+            face = [ids[v] for v in chambers[np.argmax(foreign)]]
+            raise ValidationError(
+                f"facet {sorted(face)} must have exactly one vertex of each type "
+                f"{list(types)}, got types {sorted(map(vt.__getitem__, face))}"
+            )
+        order, bounds = _row_groups(chambers)
+        repeated = np.ones(len(chambers), dtype=bool)
+        repeated[order[bounds[:-1]]] = False  # each run's first row is new
+        if repeated.any():
+            face = [ids[v] for v in chambers[np.argmax(repeated)]]
+            raise ValidationError(f"duplicate facet {sorted(face)}")
+        x = cls.__new__(cls)
+        x._keep(vt, types, chambers)
+        return x
+
+    def _keep(self, vertex_types, types, chambers):
+        chambers.flags.writeable = False
+        object.__setattr__(self, "vertex_types", vertex_types)
         object.__setattr__(self, "types", types)
+        object.__setattr__(self, "facet_array", chambers)
+        object.__setattr__(self, "_last_faces", [])
+
+    @cached_property
+    def facets(self) -> tuple[frozenset[int], ...]:
+        """The facets as frozensets of vertex ids, row k of the facet array
+        giving facet k."""
+        ids = np.array(sorted(self.vertex_types), dtype=object)
+        return tuple(map(frozenset, ids[self.facet_array].tolist()))
 
     @property
     def n(self) -> int:
@@ -128,26 +206,6 @@ class PartiteComplex:
         return groups
 
     @cached_property
-    def facet_array(self) -> np.ndarray:
-        """The facets as a read-only (facets, types) int array: row k is
-        facet k, column c holds its vertex of type types[c], and a vertex is
-        its rank among the sorted vertex ids, so index order is id order."""
-        ids = sorted(self.vertex_types)
-        index = {v: i for i, v in enumerate(ids)}
-        column_of_type = {t: c for c, t in enumerate(self.types)}
-        column = np.array([column_of_type[self.vertex_types[v]] for v in ids], dtype=np.intp)
-        count, width = len(self.facets), len(self.types)
-        vertices = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(self.facets)),
-            dtype=np.intp,
-            count=count * width,
-        )
-        chambers = np.empty((count, width), dtype=np.intp)
-        chambers[np.arange(count).repeat(width), column[vertices]] = vertices
-        chambers.flags.writeable = False
-        return chambers
-
-    @cached_property
     def _panels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """For each column c, the facets grouped by their panel of cotype
         {types[c]}, that is, by every other column: the order and run bounds
@@ -161,6 +219,12 @@ class PartiteComplex:
             group[order] = np.arange(len(bounds) - 1).repeat(np.diff(bounds))
             panels.append((order, bounds, group))
         return tuple(panels)
+
+
+def _columns(vertex_types: dict[int, int], ids: list[int], types: tuple[int, ...]) -> np.ndarray:
+    """The facet-array column of each vertex, in the order of `ids`."""
+    column_of_type = {t: c for c, t in enumerate(types)}
+    return np.array([column_of_type[vertex_types[v]] for v in ids], dtype=np.intp)
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +248,7 @@ def _residue_labels(x: PartiteComplex, columns) -> np.ndarray:
     residue), until a sweep changes nothing.
     """
     panels = [x._panels[c] for c in columns]
-    label = np.arange(len(x.facets))
+    label = np.arange(len(x.facet_array))
     settled = False
     while not settled:
         before = label
@@ -321,12 +385,13 @@ def _codimension_2_links(x: PartiteComplex):
     For each column pair (i, j), one `_row_groups` call on the other columns
     groups the facets into the stars of the simplices of cotype {types[i],
     types[j]}; a star's facets are the edges of its simplex's link, a
-    bipartite graph on columns i and j.  Runs are numbered by their leaders,
-    their smallest facet indices (the sort is stable), which is `faces()`
-    order.  Returns each pair's slice of the links, in
-    `itertools.combinations` order; each link's face as a row of vertex
-    indices, and its vertex count; and each edge's link and the rows of its
-    two ends, a vertex's row being its rank by id among its link's vertices.
+    bipartite graph on columns i and j.  Runs are numbered in order of their
+    leaders, their smallest facet indices (the sort is stable), by a count
+    over a leader mask; that is `faces()` order.  Returns each pair's slice
+    of the links, in `itertools.combinations` order; each link's face as a
+    row of vertex indices, and its vertex count; and each edge's link and
+    the rows of its two ends, a vertex's row being its rank by id among its
+    link's vertices.
     """
     chambers = x.facet_array
     width = chambers.shape[1]
@@ -335,9 +400,12 @@ def _codimension_2_links(x: PartiteComplex):
     for pair in itertools.combinations(range(width), 2):
         others = [c for c in range(width) if c not in pair]
         order, bounds = _row_groups(chambers[:, others])
-        leader = np.empty(len(order), dtype=np.intp)
-        leader[order] = order[bounds[:-1]].repeat(np.diff(bounds))
-        leaders, link = np.unique(leader, return_inverse=True)
+        firsts = order[bounds[:-1]]
+        leads = np.zeros(len(order), dtype=bool)
+        leads[firsts] = True
+        leaders = np.flatnonzero(leads)
+        link = np.empty(len(order), dtype=np.intp)
+        link[order] = (np.cumsum(leads) - 1)[firsts].repeat(np.diff(bounds))
         # each (link, vertex) pair of the two columns once, in that order
         keys = (link * vertices + chambers[:, pair].T).ravel()
         found, index = np.unique(keys, return_inverse=True)
@@ -354,7 +422,11 @@ def _walk_spectra(sizes, link, rows, cols) -> tuple[np.ndarray, np.ndarray, np.n
     link, as three arrays in link order: link k has sizes[k] vertices, and
     edge e joins rows rows[e] and cols[e] of link link[e].
 
-    Links of one vertex count share (k, v, v) adjacency stacks, cut so that a
+    Links with the same vertex count and edge set have the same adjacency
+    matrix, and in a building all links of one cotype are alike, so each
+    class of equal links (`_link_classes`) is solved once, on its first
+    link, and the results are copied to the others.  Those representatives
+    of one vertex count share (k, v, v) adjacency stacks, cut so that a
     stack of more than one link holds at most `MAX_LINK_VERTICES`**2
     entries, and one `sym_eigs` call per stack on their degree-symmetrized
     walk matrices, with entries adjacency[u][v] / sqrt(d(u) d(v)); these
@@ -365,6 +437,12 @@ def _walk_spectra(sizes, link, rows, cols) -> tuple[np.ndarray, np.ndarray, np.n
     there is none, that is, when the link is not connected; a cycle is
     connected with every degree 2.
     """
+    leader = _link_classes(sizes, link, rows, cols)
+    solved = leader == np.arange(len(sizes))  # the first link of each class
+    # the index of each link's class, which is its representative's among them
+    solver = (np.cumsum(solved) - 1)[leader]
+    kept = solved[link]
+    sizes, link, rows, cols = sizes[solved], solver[link[kept]], rows[kept], cols[kept]
     count = len(sizes)
     second = np.empty(count)
     diameter = np.empty(count, dtype=int)
@@ -393,7 +471,38 @@ def _walk_spectra(sizes, link, rows, cols) -> tuple[np.ndarray, np.ndarray, np.n
             second[members] = sym_eigs(walk).eigenvalues[:, -2]
             diameter[members] = _diameters(adj)
             cycle[members] = (degree == 2).all(axis=1) & (diameter[members] >= 0)
-    return second, diameter, cycle
+    return second[solver], diameter[solver], cycle[solver]
+
+
+def _link_classes(sizes, link, rows, cols) -> np.ndarray:
+    """For each link, the smallest index of a link with the same vertex
+    count and the same edge set, in the arrays of `_walk_spectra`.
+
+    An edge is coded by its sorted rows as min * size + max, below span =
+    max(sizes)**2, and one sort of link * span + code lists each link's
+    codes in order, link after link.  Links of one edge count are then rows
+    of (vertex count, codes), and one `_row_groups` call groups the equal
+    ones.  The keys stay below count * span, inside int64 while the edge
+    arrays (at least count entries) and one span-entry adjacency matrix fit
+    in memory.
+    """
+    count = len(sizes)
+    if count == 1:  # a 1-dimensional complex is its own and only link
+        return np.zeros(1, dtype=np.intp)
+    span = int(sizes.max()) ** 2
+    code = np.minimum(rows, cols) * sizes[link] + np.maximum(rows, cols)
+    code = np.sort(link * span + code) % span
+    edge_count = np.bincount(link, minlength=count)
+    first = np.cumsum(edge_count) - edge_count
+    leader = np.empty(count, dtype=np.intp)
+    for m in np.flatnonzero(np.bincount(edge_count)).tolist():
+        members = np.flatnonzero(edge_count == m)
+        table = np.empty((len(members), m + 1), dtype=np.intp)
+        table[:, 0] = sizes[members]
+        table[:, 1:] = code[first[members, None] + np.arange(m)]
+        order, bounds = _row_groups(table)
+        leader[members[order]] = members[order[bounds[:-1]]].repeat(np.diff(bounds))
+    return leader
 
 
 def _diameters(adj: np.ndarray) -> np.ndarray:

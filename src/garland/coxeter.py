@@ -400,7 +400,8 @@ def build_coxeter_complex(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> C
     Each element's coset is labelled by its smallest element, found by
     propagating the minimum label along the kept generators until it
     settles.  Vertex ids run through the types in order, and within a type
-    in order of each coset's smallest element.
+    in order of each coset's smallest element, so the array of each
+    element's cosets is already the complex's facet array.
     """
     group = enumerate_group(cox, cap=cap)
     r = cox.rank
@@ -419,11 +420,10 @@ def build_coxeter_complex(cox: CoxeterMatrix, cap: int = DEFAULT_GROUP_CAP) -> C
         base = len(vertex_types)
         coset_of[:, omitted] = base + coset
         vertex_types.update((base + k, omitted) for k in range(len(smallest)))
-    facets = tuple(map(frozenset, coset_of.tolist()))
     return CoxeterComplex(
         matrix=cox,
         group=group,
-        complex=PartiteComplex(vertex_types, facets),
+        complex=PartiteComplex.from_facet_array(vertex_types, coset_of),
     )
 
 

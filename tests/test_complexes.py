@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import garland as g
 from garland.complexes import (
     _codimension_2_links,
+    _link_classes,
     _walk_spectra,
     bfs_distances,
     gallery_connected,
@@ -51,6 +52,42 @@ def test_complex_validation_names_the_first_bad_facet():
         g.PartiteComplex(vt, (ok, ok, frozenset({0, 7})))
     with pytest.raises(ValidationError, match=r"facet \[1, 3\] must have exactly one"):
         g.PartiteComplex(vt, (ok, other, frozenset({1, 3}), other))
+
+
+def test_facet_array_constructor():
+    vt = {10**30: 0, -7: 1, 2: 0, 3: 1}  # indices by id: -7, 2, 3, 10**30
+    rows = np.array([[1, 0], [3, 2]])
+    x = g.PartiteComplex.from_facet_array(vt, rows)
+    assert x.facets == (frozenset({2, -7}), frozenset({10**30, 3}))
+    assert x.types == (0, 1)
+    # the complex keeps a read-only copy, and the caller's array stays writable
+    assert np.array_equal(x.facet_array, rows)
+    assert not x.facet_array.flags.writeable and rows.flags.writeable
+    assert np.array_equal(g.PartiteComplex(vt, x.facets).facet_array, rows)
+
+
+def test_facet_array_constructor_errors():
+    vt = {0: 0, 1: 1, 2: 0, 3: 1}
+    build = g.PartiteComplex.from_facet_array
+    with pytest.raises(ValidationError, match=r"^duplicate facet \[2, 3\]$"):
+        build(vt, [[0, 1], [2, 3], [0, 3], [2, 3]])
+    # vertex 2, of type 0, in the column of type 1
+    message = "facet [0, 2] must have exactly one vertex of each type [0, 1], got types [0, 0]"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(vt, [[0, 1], [0, 2]])
+    for index in (4, -1):
+        message = f"facet row 1 [2, {index}] has vertex indices outside 0..3"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(vt, [[0, 1], [2, index]])
+    with pytest.raises(ValidationError, match="at least one facet"):
+        build(vt, np.empty((0, 2), dtype=int))
+    for rows, shape in (([[0, 1, 3]], (1, 3)), ([0, 1], (2,)), ([[0.0, 1.0]], (1, 2))):
+        message = (
+            "a facet array is an int array with one column per type [0, 1], "
+            f"got shape {shape}"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(vt, rows)
 
 
 def test_loader_errors():
@@ -327,9 +364,24 @@ def test_cycle_complexes():
         cycle_complex(2)
 
 
+def record_stack_shapes(monkeypatch):
+    """Wrap the walk pass's `sym_eigs` so that each call appends the shape
+    of its stack to the returned list."""
+    shapes = []
+    original = g.complexes.sym_eigs
+
+    def recording_sym_eigs(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(g.complexes, "sym_eigs", recording_sym_eigs)
+    return shapes
+
+
 def test_walk_pass_slices_its_stacks(monkeypatch):
     # 8-vertex links: three 8-cycles under different ids, K_{4,4}, and two
-    # squares apart
+    # squares apart; the ids of the cycles keep their order, so the three
+    # have one adjacency matrix and are solved once
     cycles = [renamed(cycle_complex(8), [v + shift for v in range(8)]) for shift in (0, 3, 90)]
     k44 = g.PartiteComplex(
         {v: v % 2 for v in range(8)},
@@ -341,21 +393,24 @@ def test_walk_pass_slices_its_stacks(monkeypatch):
     )
     links = [*cycles, k44, squares]
     unsliced = _walk_spectra(*walk_arrays(links))
-    shapes = []
-    original = g.complexes.sym_eigs
-
-    def recording_sym_eigs(m, *args, **kwargs):
-        shapes.append(m.shape)
-        return original(m, *args, **kwargs)
-
     monkeypatch.setattr(g.complexes, "MAX_LINK_VERTICES", 8)
-    monkeypatch.setattr(g.complexes, "sym_eigs", recording_sym_eigs)
+    shapes = record_stack_shapes(monkeypatch)
     sliced = _walk_spectra(*walk_arrays(links))
-    assert shapes == [(1, 8, 8)] * len(links)
+    assert shapes == [(1, 8, 8)] * 3
     for before, after in zip(unsliced, sliced):
         assert before.tolist() == after.tolist()
     assert sliced[1].tolist() == [4, 4, 4, 2, -1]
     assert sliced[2].tolist() == [True, True, True, False, False]
+
+
+def test_walk_pass_solves_each_distinct_link_once(monkeypatch):
+    # F4 has 1392 codimension-2 links, and those of one cotype are one
+    # cycle under vertex indices of the same order: a 4-, a 6- and an 8-cycle
+    x = g.build_coxeter_complex(IRREDUCIBLE["F4"][0]).complex
+    shapes = record_stack_shapes(monkeypatch)
+    report = g.cosine_matrix_of_complex(x)
+    assert sum(len(spec.link_lengths) for spec in report.per_pair.values()) == 1392
+    assert sorted(shapes) == [(1, 4, 4), (1, 6, 6), (1, 8, 8)]
 
 
 def test_walk_rejects_disconnected():
@@ -670,3 +725,21 @@ def test_walk_pass_matches_one_link_calls_on_random_complexes(facets):
     except GarlandError:
         return  # not B2, or a link too thin for a cosine matrix
     assert_walk_pass_matches_one_link(x, report)
+    # every link again under shifted ids, which keep their order and so the
+    # adjacency matrix, and under negated ids, which reverse it: the pass
+    # solves each class once and still equals the loop reference link by link
+    links = [
+        link_of(x, sigma)
+        for pair in report.per_pair
+        for sigma in x.faces(t for t in x.types if t not in pair)
+    ]
+    copies = links + [
+        renamed(link, {v: shift + sign * v for v in link.vertex_types})
+        for sign, shift in ((1, 100), (-1, 0))
+        for link in links
+    ]
+    arrays = walk_arrays(copies)
+    leader = _link_classes(*arrays)
+    assert np.array_equal(leader[len(links):2 * len(links)], leader[:len(links)])
+    walks = zip(*(column.tolist() for column in _walk_spectra(*arrays)))
+    assert list(walks) == [reference_walk(link) for link in copies]

@@ -339,6 +339,17 @@ def test_coset_labels_match_the_reference(name):
     assert built.complex.facets == facets
 
 
+@pytest.mark.parametrize("name", ["A3", "F4", "H4", "A1^10", "H3xG2"])
+def test_chamber_array_gives_the_complex_its_facets_give(name):
+    cox, _, cap = SPHERICAL[name]
+    built = build_coxeter_complex(cox, cap=cap).complex
+    chambers = built.facet_array.tolist()  # vertex ids are 0 .. V-1
+    from_facets = g.PartiteComplex(built.vertex_types, tuple(map(frozenset, chambers)))
+    assert built.facets == from_facets.facets
+    assert built.types == from_facets.types
+    assert np.array_equal(built.facet_array, from_facets.facet_array)
+
+
 @pytest.mark.parametrize("name", list(SPHERICAL))
 def test_lengths_follow_the_poincare_polynomial(name):
     cox, degrees, cap = SPHERICAL[name]
