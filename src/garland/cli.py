@@ -28,7 +28,6 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import CriterionInapplicableError, GarlandError, InputFormatError, ValidationError
-from .linalg import classify_definiteness, sym_eigs
 from .reporting import input_digest, render_json, render_text, to_jsonable
 from .subspaces import cosine_matrix_of_family, spherical_face_family
 
@@ -93,22 +92,22 @@ def _load_json(path: str):
 
 
 def cmd_analyze_coxeter(args, data) -> tuple[dict, list[str]]:
+    # C is built and solved once; every call below reads its spectrum
     cox = load_coxeter_matrix(data)
     c = coxeter_cosine(cox)
-    spectrum = sym_eigs(c.matrix)
     warnings: list[str] = []
     result = {
         "rank": cox.rank,
         "m": cox.m,
         "cosine_matrix": c.matrix,
-        "eigenvalues": spectrum.eigenvalues,
-        "smallest_eigenvalue": spectrum.eigenvalues[0],
-        "classification": classify_coxeter(cox),
+        "eigenvalues": c.eigenvalues,
+        "smallest_eigenvalue": c.eigenvalues[0],
+        "classification": classify_coxeter(cox, c),
     }
     if args.min_thickness:
         result["min_thickness_q"] = crit.min_thickness(c)
     if args.thickness is not None:
-        report = crit.vanishing_report(cox, args.thickness)
+        report = crit.vanishing_report(cox, args.thickness, c)
         result["vanishing"] = report
         if report.borderline:
             warnings.append(
@@ -163,7 +162,7 @@ def cmd_decompose(args, data) -> tuple[dict, list[str]]:
     n = family.n
     lattice = build_lattice(family)
     cosine = cosine_matrix_of_family(family)
-    definiteness = classify_definiteness(cosine.matrix)
+    definiteness = cosine.definiteness
     warnings = []
     if not definiteness.is_positive_definite:
         warnings.append(
@@ -204,14 +203,13 @@ def cmd_spherical_simplex(args, data) -> tuple[dict, list[str]]:
         raise InputFormatError("simplex document needs a list field 'vertices'")
     family = spherical_face_family(_number_table(data["vertices"], "vertices"))
     cosine = cosine_matrix_of_family(family)
-    spectrum = sym_eigs(cosine.matrix)
     result = {
         "vertex_count": family.n + 1,
         "ambient_dim": family.ambient_dim,
         "face_cosine_matrix": cosine.matrix,
-        "eigenvalues": spectrum.eigenvalues,
-        "smallest_eigenvalue": spectrum.eigenvalues[0],
-        "definiteness": classify_definiteness(cosine.matrix),
+        "eigenvalues": cosine.eigenvalues,
+        "smallest_eigenvalue": cosine.eigenvalues[0],
+        "definiteness": cosine.definiteness,
     }
     warnings = []
     if "reference_matrix" in data:

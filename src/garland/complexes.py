@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .linalg import DefinitenessClass, classify_definiteness, sym_eigs
+from .linalg import DefinitenessClass, sym_eigs
 from .subspaces import CosineMatrix
 
 # the walk pass stacks one dense v x v adjacency matrix per link and squares
@@ -674,10 +674,11 @@ def cosine_matrix_of_complex(x: PartiteComplex) -> ComplexCosineReport:
             all_cycles=bool(cycle[own].all()),
         )
         matrix[i, j] = matrix[j, i] = -lam
+    cosine = CosineMatrix(matrix)
     return ComplexCosineReport(
-        matrix=CosineMatrix(matrix),
+        matrix=cosine,
         per_pair=per_pair,
-        definiteness=classify_definiteness(matrix),
+        definiteness=cosine.definiteness,
         degenerate=x.n == 1,
         convention="per-pair eigenvalue = maximum over cotype representatives",
         validation=val,

@@ -123,25 +123,31 @@ def coxeter_cosine(cox: CoxeterMatrix) -> CosineMatrix:
     return CosineMatrix(c)
 
 
-def classify_coxeter(cox: CoxeterMatrix) -> str:
+def classify_coxeter(cox: CoxeterMatrix, c: CosineMatrix | None = None) -> str:
     """Classify as spherical, affine, or other, one Coxeter graph component
     at a time (the graph joins i and j when m[i][j] != 2).
 
-    A component of rank 2 is spherical for a finite order and affine for an
-    infinite one; the dihedral smallest eigenvalue 1 - cos(pi/m) falls under
-    any zero tolerance for large m, so rank 2 is not decided from the
-    spectrum.  Any other component is spherical when its cosine matrix C is
-    positive definite, affine when it is positive semidefinite, and other
-    otherwise.  That is the classical test (corank 1, every proper principal
-    submatrix positive definite; Humphreys, sections 2.6 and 4.7) with no
-    more checks, by Perron-Frobenius:
+    A component of rank 1 is spherical, and one of rank 2 is spherical for a
+    finite order and affine for an infinite one; the dihedral smallest
+    eigenvalue 1 - cos(pi/m) falls under any zero tolerance for large m, so
+    rank 2 is not decided from the spectrum.  Any other component is
+    spherical when its cosine matrix C is positive definite, affine when it
+    is positive semidefinite, and other otherwise.  That is the classical
+    test (corank 1, every proper principal submatrix positive definite;
+    Humphreys, sections 2.6 and 4.7) with no more checks, by
+    Perron-Frobenius:
       N = I - C is nonnegative and irreducible, and lambda_min(C) = 1 - rho(N);
       rho(N) is a simple eigenvalue, so a semidefinite C has corank 1;
       rho(N_J) < rho(N) for each proper principal N_J, so each C_J is definite.
     The system is spherical when every component is, affine when it is a
     single affine component, and other otherwise.
+
+    `c` is `coxeter_cosine(cox)` when the caller has built it already.  A
+    connected graph of rank >= 3 reads the definiteness of its spectrum,
+    since its one block is C bit for bit; only a reducible system solves
+    blocks, one per component of rank >= 3.
     """
-    c = coxeter_cosine(cox).matrix
+    c = coxeter_cosine(cox) if c is None else c
     labels = [_classify_component(cox, c, component) for component in _components(cox)]
     if all(label == "spherical" for label in labels):
         return "spherical"
@@ -164,11 +170,14 @@ def _components(cox: CoxeterMatrix) -> list[list[int]]:
     return components
 
 
-def _classify_component(cox: CoxeterMatrix, c: np.ndarray, component: list[int]) -> str:
-    if len(component) == 2:
-        i, j = component
+def _classify_component(cox: CoxeterMatrix, c: CosineMatrix, component: list[int]) -> str:
+    if len(component) <= 2:
+        i, j = component[0], component[-1]  # m[i][i] = 1 for rank 1
         return "affine" if cox.m[i][j] == math.inf else "spherical"
-    cls = classify_definiteness(c[np.ix_(component, component)])
+    if len(component) == cox.rank:
+        cls = c.definiteness
+    else:
+        cls = classify_definiteness(c.matrix[np.ix_(component, component)])
     if cls.is_positive_definite:
         return "spherical"
     return "affine" if cls.is_positive_semidefinite else "other"

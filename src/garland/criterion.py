@@ -3,7 +3,11 @@
 A building of type M with thickness q+1 has a complex cosine matrix bounded
 below (in the entrywise order) by a shifted copy of the Coxeter cosine matrix
 C, so the smallest eigenvalue mu of C decides the criterion: cohomology
-vanishes in intermediate degrees once mu > 1 - (q+1)/(2*sqrt(q)).  Verdicts
+vanishes in intermediate degrees once mu > 1 - (q+1)/(2*sqrt(q)).  That
+comparison is decided exactly, in integers, from the float mu, so the passing
+q are exactly those from the least one up; the float threshold is reported,
+and the `borderline` flag and the lower-bound eigenvalue are read from it.  A
+caller that holds C passes it along, and one report solves it once.  Verdicts
 are emitted as statement templates with their hypotheses spelled out; nothing
 here computes cohomology.
 """
@@ -86,27 +90,44 @@ def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndar
     return scale * matrix + (1.0 - scale) * np.eye(matrix.shape[0])
 
 
+def _pass_test(mu: float):
+    """The exact test of mu > threshold(q), as a function of q.
+
+    With a = 1 - mu, mu taken as the exact rational value of the float, q
+    passes when a <= 0 or 4 a^2 q < (q+1)^2: both sides of
+    a < (q+1)/(2 sqrt(q)) squared.  mu = n/d as integers, so the test is
+    4 (d - n)^2 q < (q+1)^2 d^2 with no rounding, and since (q+1)^2/(4q)
+    increases for q >= 1, the passing q are exactly those from the least up.
+    """
+    n, d = float(mu).as_integer_ratio()
+    a = d - n
+    return lambda q: a <= 0 or 4 * a * a * q < (q + 1) ** 2 * d * d
+
+
 def min_thickness(c: CosineMatrix | np.ndarray) -> int:
-    """Smallest q >= 2 whose threshold lies strictly below the smallest eigenvalue.
+    """Smallest q >= 2 whose threshold lies strictly below the smallest
+    eigenvalue mu, with the comparison decided exactly by `_pass_test`.
 
     Exists for every input since the threshold decreases without bound; any
-    positive semidefinite cosine matrix already passes at q = 2.  Passing is
-    monotone in q, so the search gallops up from q = 2, doubling q until it
-    passes, and bisects between the last failing q and the first passing
-    one; its work grows like log q.  A q past the float range ends in
-    `threshold`'s refusal.
+    positive semidefinite cosine matrix already passes at q = 2.  A
+    `CosineMatrix` gives the mu of the spectrum it keeps, and a raw matrix is
+    checked to be one symmetric matrix and solved.  Passing is monotone in q,
+    so the search gallops up from q = 2, doubling q until it passes, and
+    bisects between the last failing q and the first passing one; its work
+    grows like log q.
+    A q past the float range, where `threshold` cannot be evaluated, is
+    refused as it is there.
     """
-    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
-    smallest = float(sym_eigs(matrix).eigenvalues[0])
-
-    def passes(q: int) -> bool:
-        return smallest > threshold(q)
-
+    if isinstance(c, CosineMatrix):
+        smallest = c.min_eigenvalue()
+    else:
+        smallest = float(sym_eigs(as_symmetric_matrix(c)).eigenvalues[0])
+    passes = _pass_test(smallest)
     # `above` passes once the gallop ends; `below` fails, or is 1, under the
     # smallest q allowed
     below, above = 1, 2
     while not passes(above):
-        below, above = above, 2 * above
+        below, above = above, _check_q(2 * above)
     while above - below > 1:
         mid = (above + below) // 2
         if passes(mid):
@@ -187,7 +208,7 @@ class VanishingReport:
     notes: tuple[str, ...]
 
 
-def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
+def vanishing_report(cox: CoxeterMatrix, q: int, c: CosineMatrix | None = None) -> VanishingReport:
     """Evaluate the vanishing criterion for buildings of the given type.
 
     The report covers three template families over the intermediate degrees
@@ -196,11 +217,18 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
     unconditional group version available for affine systems (where every
     proper link of the building is finite).
 
-    One eigensolve gives mu, the smallest eigenvalue of the cosine matrix C.
-    The lower-bound matrix s C + (1 - s) I shifts the spectrum of C
-    affinely, and threshold(q) = 1 - 1/s, so its smallest eigenvalue
-    `lower_bound_min_eig` is s (mu - threshold(q)), positive exactly when
-    `criterion_met`.
+    mu is the smallest eigenvalue of the cosine matrix C, and
+    `criterion_met` is the exact test of `_pass_test`; `borderline` flags a
+    mu within `BORDERLINE_TOL` of the float `threshold_value`.  The
+    lower-bound matrix s C + (1 - s) I shifts the spectrum of C affinely,
+    and threshold(q) = 1 - 1/s, so its smallest eigenvalue
+    `lower_bound_min_eig` is s (mu - threshold(q)), in floats.  Its sign and
+    `criterion_met` can disagree only where mu lies within a few rounding
+    errors of the float threshold, which for q below about 1e6 is inside the
+    `borderline` band: mu = threshold(2) passes at q = 2 with
+    `lower_bound_min_eig` 0.  A caller that has built C = `coxeter_cosine(cox)`
+    passes it, and C is solved once; `classify_coxeter` solves only the
+    blocks of a reducible system.
     """
     q = _check_q(q)
     n = cox.rank - 1
@@ -221,14 +249,14 @@ def vanishing_report(cox: CoxeterMatrix, q: int) -> VanishingReport:
                     f"m[{i}][{j}] = {mij} excluded by Feit-Higman: no thick building "
                     "of this type exists"
                 )
-    c = coxeter_cosine(cox)
+    c = coxeter_cosine(cox) if c is None else c
     mu = c.min_eigenvalue()
     thr = threshold(q)
-    met = mu > thr
+    met = _pass_test(mu)(q)
     borderline = abs(mu - thr) < BORDERLINE_TOL
     lower = building_cosine_lower_bound(c, q)
     lower_min = _lower_bound_scale(q) * (mu - thr)
-    coxeter_class = classify_coxeter(cox)
+    coxeter_class = classify_coxeter(cox, c)
 
     verdicts = [
         DegreeVerdict(

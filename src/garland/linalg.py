@@ -5,10 +5,11 @@ it validates symmetry, then calls LAPACK's symmetric solvers through
 `numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
 and eigenvectors orthonormal to working precision (Golub and Van Loan,
 Matrix Computations, sections 8.3 and 8.5).  `classify_definiteness`
-validates its matrix once and makes the same LAPACK call.  `left_singular`
-is the one singular value decomposition (section 8.6): `orthonormalize` and
-the subspace lattice cut its rank.  No other module calls `numpy.linalg` to
-factor a matrix.
+validates its matrix once and makes the same LAPACK call; `definiteness_of`
+is its rule, which a `CosineMatrix` applies to the spectrum it keeps.
+`left_singular` is the one singular value decomposition (section 8.6):
+`orthonormalize` and the subspace lattice cut its rank.  No other module
+calls `numpy.linalg` to factor a matrix.
 """
 
 from __future__ import annotations
@@ -111,24 +112,31 @@ def sym_eigs(matrix, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=np.linalg.eigvalsh(m))
 
 
+def definiteness_of(m: np.ndarray, eigenvalues: np.ndarray) -> DefinitenessClass:
+    """The rule of `classify_definiteness`, for a matrix that `as_symmetric`
+    has already returned and its ascending eigenvalues."""
+    zero_tol = RESIDUAL_SCALE * max(1.0, max_abs(m))
+    smallest = eigenvalues[0]
+    if smallest > zero_tol:
+        return DefinitenessClass(kind="positive_definite", corank=0)
+    if smallest >= -zero_tol:
+        corank = int(np.count_nonzero(np.abs(eigenvalues) <= zero_tol))
+        return DefinitenessClass(kind="positive_semidefinite", corank=corank)
+    return DefinitenessClass(kind="indefinite", corank=0)
+
+
 def classify_definiteness(matrix) -> DefinitenessClass:
     """Classify a symmetric matrix by the sign of its spectrum.
 
     Positive definite when the smallest eigenvalue exceeds the zero tolerance
     `RESIDUAL_SCALE` * max(1, max |entry|); positive semidefinite when it is
     at least minus that tolerance, with corank the number of eigenvalues
-    within it of zero; indefinite otherwise.
+    within it of zero; indefinite otherwise.  The matrix is validated once;
+    a `CosineMatrix` applies the same rule to the spectrum it keeps.
     """
     m = as_symmetric_matrix(matrix)
-    zero_tol = RESIDUAL_SCALE * max(1.0, max_abs(m))
     w = np.linalg.eigvalsh(m)  # m is validated already; sym_eigs would check it again
-    smallest = w[0]
-    if smallest > zero_tol:
-        return DefinitenessClass(kind="positive_definite", corank=0)
-    if smallest >= -zero_tol:
-        corank = int(np.count_nonzero(np.abs(w) <= zero_tol))
-        return DefinitenessClass(kind="positive_semidefinite", corank=corank)
-    return DefinitenessClass(kind="indefinite", corank=0)
+    return definiteness_of(m, w)
 
 
 def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -20,11 +20,19 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import as_symmetric_matrix, max_abs, orthonormalize, sym_eigs
+from .linalg import (
+    DefinitenessClass,
+    as_symmetric_matrix,
+    definiteness_of,
+    max_abs,
+    orthonormalize,
+    sym_eigs,
+)
 
 INTERSECT_TOL = 1e-8
 GRAM_TOL = 1e-10
@@ -110,7 +118,12 @@ class SubspaceFamily:
 
 @dataclass(frozen=True)
 class CosineMatrix:
-    """Symmetric matrix with unit diagonal and off-diagonal entries in [-1, 0]."""
+    """Symmetric matrix with unit diagonal and off-diagonal entries in [-1, 0].
+
+    Its spectrum is solved once, by `sym_eigs` on first use, and
+    `min_eigenvalue` and `definiteness` read it; a report that passes one
+    `CosineMatrix` along solves it once.
+    """
 
     matrix: np.ndarray
 
@@ -129,8 +142,20 @@ class CosineMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues in ascending order, read-only."""
+        w = sym_eigs(self.matrix).eigenvalues
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def definiteness(self) -> DefinitenessClass:
+        """`classify_definiteness` of the matrix, from the kept spectrum."""
+        return definiteness_of(self.matrix, self.eigenvalues)
+
     def min_eigenvalue(self) -> float:
-        return float(sym_eigs(self.matrix).eigenvalues[0])
+        return float(self.eigenvalues[0])
 
 
 def _principal_cosines(pairs, want_vectors: bool = False):

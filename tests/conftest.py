@@ -22,6 +22,13 @@ from garland.subspaces import CosineMatrix, Subspace, SubspaceFamily
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+# the Coxeter fixtures of the report corpus, by file stem
+COXETER_FIXTURES = (
+    "a2", "a3", "affine_a2", "affine_a3", "affine_c2", "affine_g2",
+    "b2", "b3", "g2", "h3", "hyperbolic_rank4", "infinite_dihedral",
+)
+
+
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 

@@ -7,14 +7,19 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import garland as g
 from garland.cli import build_parser, main
 from garland.complexes import MAX_LINK_VERTICES
+from garland.coxeter import build_coxeter_complex
 from garland.decomposition import MAX_FAMILY_N
+from garland.linalg import sym_eigs
+from garland.reporting import to_jsonable
 from garland.subspaces import MAX_SIMPLEX_VERTICES
 
-from conftest import fixture_path
+from conftest import COXETER_FIXTURES, dynkin, fixture_path, load_fixture
 
 
 def run_json(capsys, argv):
@@ -429,3 +434,133 @@ def test_undecodable_input_exits_1(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith(f"garland: error: {path}: ")
     assert "Traceback" not in captured.err
+
+
+# systems the Coxeter fixtures lack: rank 1, three reducible systems whose
+# components take their labels apart (rank 1 and 2 by their orders, H3 from
+# its own block), and a reducible one that the criterion accepts
+COXETER_SYSTEMS = {
+    "A1": dynkin(1, ()),
+    "B2xI2(7)xA1": dynkin(5, ((0, 1, 4), (2, 3, 7))),
+    "H3xG2": dynkin(5, ((0, 1, 5), (1, 2, 3), (3, 4, 6))),
+    "affine_A1+A1": dynkin(3, ((0, 1, math.inf),)),
+    "A3xA1": dynkin(4, ((0, 1, 3), (1, 2, 3))),
+}
+COXETER_OPTIONS = (
+    (), ("--thickness", "2"), ("--thickness", "4"), ("--min-thickness",),
+    ("--thickness", "2", "--min-thickness"), ("--thickness", "4", "--min-thickness"),
+)
+
+
+def coxeter_inputs(directory):
+    """(name, path, CoxeterMatrix) of every Coxeter input, the systems
+    written out to `directory` as documents."""
+    inputs = [
+        (name, fixture_path(f"{name}.json"), g.load_coxeter_matrix(load_fixture(f"{name}.json")))
+        for name in COXETER_FIXTURES
+    ]
+    for name, cox in COXETER_SYSTEMS.items():
+        path = directory / f"{name}.json"
+        m = [[None if x == math.inf else x for x in row] for row in cox.m]
+        path.write_text(json.dumps({"rank": cox.rank, "m": m}))
+        inputs.append((name, str(path), cox))
+    return inputs
+
+
+def library_report(cox, options):
+    """(exit code, result, warnings, stderr) of analyze-coxeter from separate
+    library calls, each building its own cosine matrix."""
+    eigenvalues = sym_eigs(g.coxeter_cosine(cox).matrix).eigenvalues
+    result = {
+        "rank": cox.rank,
+        "m": cox.m,
+        "cosine_matrix": g.coxeter_cosine(cox).matrix,
+        "eigenvalues": eigenvalues,
+        "smallest_eigenvalue": eigenvalues[0],
+        "classification": g.classify_coxeter(cox),
+    }
+    warnings = []
+    if "--min-thickness" in options:
+        result["min_thickness_q"] = g.min_thickness(g.coxeter_cosine(cox))
+    if "--thickness" in options:
+        q = int(options[options.index("--thickness") + 1])
+        try:
+            report = g.vanishing_report(cox, q)
+        except g.CriterionInapplicableError as exc:
+            return 2, None, None, f"garland: criterion inapplicable: {exc}\n"
+        result["vanishing"] = report
+        if report.borderline:
+            warnings.append("criterion comparison is within 1e-12 of the threshold")
+    return 0, to_jsonable(result), warnings, ""
+
+
+def test_analyze_coxeter_equals_the_separate_library_calls(tmp_path, capsys):
+    # == on floats parsed from the report: every bit must match
+    for name, path, cox in coxeter_inputs(tmp_path):
+        for options in COXETER_OPTIONS:
+            code = main(["analyze-coxeter", "--input", path, *options])
+            captured = capsys.readouterr()
+            want_code, result, warnings, err = library_report(cox, options)
+            assert (code, captured.err) == (want_code, err), (name, options)
+            if code == 0:
+                doc = json.loads(captured.out)
+                assert doc["result"] == result, (name, options)
+                assert doc["warnings"] == warnings, (name, options)
+
+
+class SolveCounter:
+    """Counts `numpy.linalg` eigensolves and `coxeter_cosine` calls."""
+
+    def __init__(self, monkeypatch):
+        self.solves = self.cosines = 0
+        for fname in ("eigvalsh", "eigh"):
+            solve = self._counted(getattr(np.linalg, fname), "solves")
+            monkeypatch.setattr(np.linalg, fname, solve)
+        original = g.coxeter.coxeter_cosine
+        counted = self._counted(original, "cosines")
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("garland"):
+                if getattr(module, "coxeter_cosine", None) is original:
+                    monkeypatch.setattr(module, "coxeter_cosine", counted)
+
+    def _counted(self, fn, counter):
+        def wrapper(*args, **kwargs):
+            setattr(self, counter, getattr(self, counter) + 1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def run(self, argv):
+        self.solves = self.cosines = 0
+        code = main(argv)
+        return code, self.cosines, self.solves
+
+
+def test_each_report_matrix_is_built_and_solved_once(tmp_path, capsys, monkeypatch):
+    inputs = coxeter_inputs(tmp_path)
+    chambers = build_coxeter_complex(dynkin(4, ((0, 1, 3), (1, 2, 3), (1, 3, 3)))).complex
+    d4 = tmp_path / "d4_chambers.json"
+    d4.write_text(json.dumps({
+        "vertices": [{"id": v, "type": t} for v, t in chambers.vertex_types.items()],
+        "facets": [sorted(f) for f in chambers.facets],
+    }))
+    counter = SolveCounter(monkeypatch)
+    # a connected system builds C once and solves it once, refused or not;
+    # a reducible one solves each block of rank >= 3 once per label, and
+    # `vanishing_report` labels it again when the criterion applies (A3xA1;
+    # Feit-Higman refuses H3xG2 first)
+    blocks = {"H3xG2": 1, "A3xA1": 1}
+    for name, path, _ in inputs:
+        for options in COXETER_OPTIONS:
+            labels = 2 if name == "A3xA1" and "--thickness" in options else 1
+            _, cosines, solves = counter.run(["analyze-coxeter", "--input", path, *options])
+            assert (cosines, solves) == (1, 1 + labels * blocks.get(name, 0)), (name, options)
+    # the walk spectra (one stack per link size), then the report matrix
+    totals = {
+        ("analyze-complex", fixture_path("octahedron.json")): 2,
+        ("analyze-complex", str(d4)): 3,
+        ("decompose", fixture_path("pd_family.json")): 5,
+        ("spherical-simplex", fixture_path("equilateral_triple.json")): 2,
+    }
+    for (sub, path), want in totals.items():
+        code, _, solves = counter.run([sub, "--input", path])
+        assert (code, solves) == (0, want), (sub, path)

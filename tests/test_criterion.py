@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 import random
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import garland as g
-from garland.criterion import ALLOWED_GONALITIES
+from garland.criterion import ALLOWED_GONALITIES, _pass_test
 from garland.errors import (
     CriterionInapplicableError,
     FeitHigmanExcludedError,
@@ -19,7 +21,7 @@ from garland.errors import (
 )
 from garland.linalg import max_abs, sym_eigs
 
-from conftest import AFFINE, labelling, load_fixture
+from conftest import AFFINE, COXETER_FIXTURES, labelling, load_fixture
 
 
 def cox_of(name):
@@ -82,14 +84,29 @@ def test_min_thickness():
     assert g.min_thickness(g.coxeter_cosine(cox_of("affine_a2.json"))) == 2
 
 
+@functools.cache
+def exact_threshold(q):
+    """1 - (q+1)/(2 sqrt q) to 80 digits: exact for a square q, and otherwise
+    more than 1e-50 from every float this file tries, since a float mu = n/d
+    makes 4 (d - n)^2 q and (q+1)^2 d^2 unequal integers."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        return 1 - (q + 1) / (2 * decimal.Decimal(q).sqrt())
+
+
+def exact_passes(mu, q):
+    return decimal.Decimal(float(mu)) > exact_threshold(q)  # the float's exact value
+
+
 def linear_min_thickness(mu):
     q = 2
-    while mu <= g.threshold(q):
+    while not exact_passes(mu, q):
         q += 1
     return q
 
 
 def test_min_thickness_matches_the_linear_search():
+    # the mus include the float thresholds and their neighbours, where the
+    # exact test and a float comparison part
     at_thresholds = [g.threshold(q) for q in range(2, 51)]
     mus = [*np.linspace(-30.0, 1.5, 1001), *at_thresholds]
     mus += [np.nextafter(t, side) for t in at_thresholds for side in (-np.inf, np.inf)]
@@ -97,44 +114,28 @@ def test_min_thickness_matches_the_linear_search():
         assert g.min_thickness(np.array([[mu]])) == linear_min_thickness(mu), mu
 
 
-def closed_form_min_thickness(mu):
-    """The search from the real root of threshold(q) = mu: with a = 1 - mu,
-    sqrt(q) = a + sqrt(a^2 - 1); it gallops out from the floor of that q
-    until a failing q sits below a passing one, then bisects."""
-    def passes(q):
-        return mu > g.threshold(q)
-
-    a = 1.0 - mu
-    root = a + math.sqrt((a - 1.0) * (a + 1.0)) if a > 1.0 else 1.0
-    above = max(2, math.floor(root * root))
-    below, step = above - 1, 1
-    while not passes(above):
-        below, above, step = above, above + step, 2 * step
-    step = 1
-    while below >= 2 and passes(below):
-        above, below, step = below, max(1, below - step), 2 * step
-    while above - below > 1:
-        mid = (above + below) // 2
-        if passes(mid):
-            above = mid
-        else:
-            below = mid
-    return above
+def walked_min_thickness(mu):
+    """The least passing q by walking from the larger real root of
+    4 a^2 q = (q+1)^2, a = 1 - mu, computed to 80 digits: down while q - 1
+    passes, then up while q fails."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        a = 1 - decimal.Decimal(float(mu))
+        root = 2 * a * a - 1 + 2 * a * (a * a - 1).sqrt()
+    q = max(2, int(root))
+    while q > 2 and exact_passes(mu, q - 1):
+        q -= 1
+    while not exact_passes(mu, q):
+        q += 1
+    return q
 
 
 def test_min_thickness_on_a_log_grid():
-    # below q = 1e15 the float threshold decreases with q, so the smallest
-    # passing q is the linear search's and the closed-form search's alike;
-    # above it the float threshold is not monotone (at the grid's
-    # mu = -35622101.317747034 this search gives 5075736694144155 and the
-    # closed-form one 5075736694144153), so there only the strict test at q
-    # and q - 1 is asserted
-    for mu in -np.logspace(0.0, math.log10(1e15 / 4), 20001):
-        q = g.min_thickness(np.array([[mu]]))
-        assert mu > g.threshold(q), mu
-        assert q == 2 or mu <= g.threshold(q - 1), mu
-        if q < 1e15:
-            assert q == closed_form_min_thickness(mu), mu
+    # past q = 1e15 the float threshold is not monotone in q, and a float
+    # comparison there returned 5075736694144155 at this mu; the exact least
+    # q is two below it
+    assert g.min_thickness(np.array([[-35622101.317747034]])) == 5075736694144153
+    for mu in -np.logspace(0.0, math.log10(2.5e14), 20001):
+        assert g.min_thickness(np.array([[mu]])) == walked_min_thickness(mu), mu
 
 
 def test_min_thickness_work_grows_like_log_q():
@@ -142,9 +143,19 @@ def test_min_thickness_work_grows_like_log_q():
     start = time.perf_counter()
     q = g.min_thickness(np.array([[-1e6]]))
     assert time.perf_counter() - start < 0.01
-    assert g.threshold(q) < -1e6 <= g.threshold(q - 1)
+    assert exact_passes(-1e6, q) and not exact_passes(-1e6, q - 1)
     with pytest.raises(ValidationError, match="beyond the float range"):
         g.min_thickness(np.array([[-1e160]]))
+
+
+def test_the_exact_test_agrees_with_the_float_one_on_the_fixtures():
+    # so the exact test moves no verdict or search result of the corpus
+    qs = [*range(2, 200), *(10**k for k in range(3, 15))]
+    for name in COXETER_FIXTURES:
+        mu = g.coxeter_cosine(cox_of(f"{name}.json")).min_eigenvalue()
+        passes = _pass_test(mu)
+        for q in qs:
+            assert passes(q) == (mu > g.threshold(q)) == exact_passes(mu, q), (name, q)
 
 
 def test_vanishing_report_fields():
@@ -213,8 +224,8 @@ def test_affine_types_pass_at_the_smallest_thickness(name):
 def test_lower_bound_eigenvalue_is_the_shifted_mu():
     # every rank-3 labelling with buildable labels and a seeded sample of
     # rank 4: the report's closed form s (mu - threshold) is the smallest
-    # eigenvalue of its lower-bound matrix, positive exactly when the
-    # criterion is met
+    # eigenvalue of its lower-bound matrix; no input here is borderline, and
+    # outside that band it is positive exactly when the criterion is met
     labels = (2, 3, 4, 6, 8)
     systems = [labelling(3, choice) for choice in itertools.product(labels, repeat=3)]
     rng = random.Random(4)

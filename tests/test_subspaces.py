@@ -18,7 +18,7 @@ import garland as g
 from garland import subspaces
 from garland.complexes import _number_table
 from garland.errors import DimensionMismatchError, GarlandError, ValidationError
-from garland.linalg import max_abs
+from garland.linalg import max_abs, sym_eigs
 from garland.subspaces import INTERSECT_TOL
 
 from conftest import (
@@ -250,6 +250,22 @@ def test_cosine_matrix_validation():
         g.CosineMatrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))
     m = g.CosineMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
     assert abs(m.min_eigenvalue() - 0.5) <= 1e-12
+
+
+def test_cosine_matrix_solves_its_spectrum_once(monkeypatch):
+    m = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, 1.0]])
+    c = g.CosineMatrix(m)
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or solve(a))
+    c.min_eigenvalue(), c.definiteness, c.eigenvalues, c.min_eigenvalue()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the bits of a separate `sym_eigs`, and one definiteness rule
+    assert np.array_equal(c.eigenvalues, sym_eigs(m).eigenvalues)
+    assert c.min_eigenvalue() == sym_eigs(m).eigenvalues[0]
+    assert c.definiteness == g.classify_definiteness(m)
+    assert not c.eigenvalues.flags.writeable
 
 
 def test_cosine_matrix_of_family():
