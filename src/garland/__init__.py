@@ -7,8 +7,6 @@ from .complexes import (
     ComplexCosineReport,
     PartiteComplex,
     cosine_matrix_of_complex,
-    gallery_connected,
-    link_of,
     load_complex,
     thickness,
     validate_complex,

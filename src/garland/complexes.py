@@ -1,23 +1,17 @@
-"""Partite simplicial complexes, links, and random-walk spectra of 1-dim links.
+"""Partite simplicial complexes and the random-walk spectra of their links.
 
 A complex is stored as its facet array: one row per facet and one column per
 type, holding dense vertex indices ranked by id.  Its types are those of its
-vertices.  Built from facets, one pass in facet order checks that each facet
-is new, declared, and holds one vertex of each type, so an error names the
-first bad facet; built from an array, as the Coxeter chamber complex is, the
-same checks run on whole columns.  The facets as frozensets of ids are
-derived on first use.  Grouping the rows by every column but one gives the
-panels of each cotype, from one stable lexsort per column, and the smallest
-panel is the thickness.
-
-`faces(types)` groups the facets by their face of one type set, listing the
-simplices of that type with the indices of their facets in facet order.  The
-star of a simplex, the facets containing it, is its entry in the grouping of
-its own type set, and `link_of` reads its link off that star.  A link is
-again a partite complex; a 1-dimensional one is a bipartite graph whose edges
-are its facets.  `faces`, `star`, `link_of` and `gallery_connected` stay
-public, but nothing in this library calls them: both checks below read the
-facet array instead.
+vertices.  Every complex, loaded or built, passes the same checks on whole
+columns: every index is in range, column c holds only vertices of type
+types[c], and no row repeats.  Built from facets, each facet of the right
+size is first placed in a row by the types of its vertices; one that cannot
+be placed (an undeclared vertex, or two vertices of one type) is a bad row
+too.  Either way an error names the first bad row, which is the first bad
+facet.  The facets as frozensets of ids are derived on first use.  Grouping
+the rows by every column but one gives the panels of each cotype, from one
+stable lexsort per column, and the smallest panel is the thickness.  No
+link is built as a complex: both checks below read the facet array.
 
 `validate_complex` decides B2, that every link is gallery connected, without
 taking a link.  The link of a simplex of type T is gallery connected exactly
@@ -48,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,53 +73,35 @@ class PartiteComplex:
     vertex_types: dict[int, int]
     types: tuple[int, ...]  # the sorted vertex types
     facet_array: np.ndarray = field(repr=False)
-    # the last (type set, grouping) pair that faces() built
-    _last_faces: list = field(repr=False)
 
     def __init__(self, vertex_types, facets):
         vt = dict(vertex_types)
         facets = tuple(map(frozenset, facets))
-        if not facets:
-            raise ValidationError("a complex needs at least one facet")
         types = tuple(sorted(set(vt.values())))
-        # a facet as large as its count of distinct types, which is the type
-        # count, has one vertex of each type
-        seen = set()
-        declared = vt.keys()
-        width = len(types)
-        for f in facets:
-            if f in seen:
-                raise ValidationError(f"duplicate facet {sorted(f)}")
-            seen.add(f)
-            if not declared >= f:
-                unknown = [v for v in f if v not in vt]
-                raise ValidationError(f"facet {sorted(f)} uses undeclared vertices {unknown}")
-            if len(f) != width or len(set(map(vt.__getitem__, f))) != width:
-                raise ValidationError(
-                    f"facet {sorted(f)} must have exactly one vertex of each type "
-                    f"{list(types)}, got types {sorted(map(vt.__getitem__, f))}"
-                )
         ids = sorted(vt)
+        width = len(types)
+        # each vertex as its index, or -1 when undeclared, facet after facet
         index = {v: i for i, v in enumerate(ids)}
-        column = _columns(vt, ids, types)
-        count = len(facets)
+        sizes = np.fromiter(map(len, facets), dtype=np.intp, count=len(facets))
         vertices = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(facets)),
+            map(index.get, itertools.chain.from_iterable(facets), itertools.repeat(-1)),
             dtype=np.intp,
-            count=count * width,
+            count=int(sizes.sum()),
         )
-        chambers = np.empty((count, width), dtype=np.intp)
-        chambers[np.arange(count).repeat(width), column[vertices]] = vertices
-        self._keep(vt, types, chambers)
+        owner = np.arange(len(facets)).repeat(sizes)
+        # a facet of `width` vertices goes to its row by their types; a row
+        # left with a -1, an undeclared vertex or a type no vertex filled,
+        # holds a facet that could not be placed
+        at = (sizes == width)[owner]
+        chambers = np.full((len(facets), width), -1, dtype=np.intp)
+        chambers[owner[at], _columns(vt, ids, types)[vertices[at]]] = vertices[at]
+        self._keep(vt, types, _checked(vt, types, chambers, facets))
 
     @classmethod
     def from_facet_array(cls, vertex_types, chambers) -> PartiteComplex:
-        """The complex whose facet array is `chambers`, a copy of it.
-
-        The checks are those of the constructor, made on whole columns:
-        every index is in range, column c holds only vertices of type
-        types[c], and no row repeats.  Each error names the first bad row.
-        """
+        """The complex whose facet array is `chambers`, a copy of it, after
+        the column checks of the constructor; an error names the first bad
+        row."""
         vt = dict(vertex_types)
         types = tuple(sorted(set(vt.values())))
         chambers = np.asarray(chambers)
@@ -135,31 +110,8 @@ class PartiteComplex:
                 f"a facet array is an int array with one column per type {list(types)}, "
                 f"got shape {chambers.shape}"
             )
-        if not len(chambers):
-            raise ValidationError("a complex needs at least one facet")
-        chambers = chambers.astype(np.intp)
-        ids = sorted(vt)
-        outside = ((chambers < 0) | (chambers >= len(ids))).any(axis=1)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValidationError(
-                f"facet row {k} {chambers[k].tolist()} has vertex indices outside 0..{len(ids) - 1}"
-            )
-        foreign = (_columns(vt, ids, types)[chambers] != np.arange(len(types))).any(axis=1)
-        if foreign.any():
-            face = [ids[v] for v in chambers[np.argmax(foreign)]]
-            raise ValidationError(
-                f"facet {sorted(face)} must have exactly one vertex of each type "
-                f"{list(types)}, got types {sorted(map(vt.__getitem__, face))}"
-            )
-        order, bounds = _row_groups(chambers)
-        repeated = np.ones(len(chambers), dtype=bool)
-        repeated[order[bounds[:-1]]] = False  # each run's first row is new
-        if repeated.any():
-            face = [ids[v] for v in chambers[np.argmax(repeated)]]
-            raise ValidationError(f"duplicate facet {sorted(face)}")
         x = cls.__new__(cls)
-        x._keep(vt, types, chambers)
+        x._keep(vt, types, _checked(vt, types, chambers.astype(np.intp)))
         return x
 
     def _keep(self, vertex_types, types, chambers):
@@ -167,7 +119,6 @@ class PartiteComplex:
         object.__setattr__(self, "vertex_types", vertex_types)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "facet_array", chambers)
-        object.__setattr__(self, "_last_faces", [])
 
     @cached_property
     def facets(self) -> tuple[frozenset[int], ...]:
@@ -180,30 +131,6 @@ class PartiteComplex:
     def n(self) -> int:
         """Dimension: facets are (n+1)-sets."""
         return len(self.types) - 1
-
-    def star(self, sigma) -> list[int]:
-        """Indices of the facets containing sigma, in facet order, read from
-        the grouping of its type set; empty when sigma is not a simplex."""
-        s = frozenset(sigma)
-        # no face has an undeclared vertex (type None) or two of one type
-        return self.faces({self.vertex_types.get(v) for v in s}).get(s, [])
-
-    def faces(self, types) -> dict[frozenset[int], list[int]]:
-        """Each face of the given type set, mapped to the indices of its facets.
-
-        The grouping of the last type set asked for is kept and returned
-        again, so callers must not change it.
-        """
-        keep = frozenset(types)
-        last = self._last_faces
-        if last and last[0] == keep:
-            return last[1]
-        kept = frozenset(v for v, t in self.vertex_types.items() if t in keep)
-        groups: dict[frozenset[int], list[int]] = {}
-        for idx, f in enumerate(self.facets):
-            groups.setdefault(f & kept, []).append(idx)
-        last[:] = (keep, groups)
-        return groups
 
     @cached_property
     def _panels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -225,6 +152,43 @@ def _columns(vertex_types: dict[int, int], ids: list[int], types: tuple[int, ...
     """The facet-array column of each vertex, in the order of `ids`."""
     column_of_type = {t: c for c, t in enumerate(types)}
     return np.array([column_of_type[vertex_types[v]] for v in ids], dtype=np.intp)
+
+
+def _checked(vertex_types, types, chambers, facets=None) -> np.ndarray:
+    """The facet array `chambers`, once every index is in range, column c
+    holds only vertices of type types[c], and no row repeats.
+
+    The error names the first row that breaks a rule.  With `facets`, the
+    facet k that row k was placed from names it: a row left with a -1 is a
+    facet with undeclared vertices, or without one vertex of each type.
+    """
+    if not len(chambers):
+        raise ValidationError("a complex needs at least one facet")
+    ids = sorted(vertex_types)
+    outside = ((chambers < 0) | (chambers >= len(ids))).any(axis=1)
+    inside = np.where(outside[:, None], 0, chambers)
+    foreign = (_columns(vertex_types, ids, types)[inside] != np.arange(len(types))).any(axis=1)
+    order, bounds = _row_groups(chambers)
+    repeated = np.ones(len(chambers), dtype=bool)
+    repeated[order[bounds[:-1]]] = False  # each run's first row is new
+    bad = outside | foreign | repeated
+    if not bad.any():
+        return chambers
+    k = int(np.argmax(bad))
+    if facets is None and outside[k]:
+        raise ValidationError(
+            f"facet row {k} {chambers[k].tolist()} has vertex indices outside 0..{len(ids) - 1}"
+        )
+    face = facets[k] if facets is not None else [ids[v] for v in chambers[k]]
+    unknown = [v for v in face if v not in vertex_types]
+    if unknown:
+        raise ValidationError(f"facet {sorted(face)} uses undeclared vertices {unknown}")
+    if outside[k] or foreign[k]:
+        raise ValidationError(
+            f"facet {sorted(face)} must have exactly one vertex of each type "
+            f"{list(types)}, got types {sorted(map(vertex_types.__getitem__, face))}"
+        )
+    raise ValidationError(f"duplicate facet {sorted(face)}")
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,47 +295,6 @@ def _finite_number(v) -> bool:
         return False
 
 
-def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
-    """Link of a simplex: faces disjoint from sigma whose union with it is in
-    X, in the order of the facets of X they lie in."""
-    s = frozenset(sigma)
-    if not s:
-        return x
-    star = x.star(s)
-    if not star:
-        raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
-    link_facets = tuple(x.facets[idx] - s for idx in star)
-    used = set().union(*link_facets)
-    return PartiteComplex({v: x.vertex_types[v] for v in used}, link_facets)
-
-
-def bfs_distances(start, neighbors) -> dict:
-    """Breadth-first distances from start to every vertex it reaches;
-    neighbors(v) gives the vertices adjacent to v."""
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in neighbors(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
-
-
-def gallery_connected(x: PartiteComplex) -> bool:
-    """Whether every facet is reachable through shared codimension-1 faces."""
-    if x.n < 1:
-        return True  # any two points meet in the empty simplex
-    panels: list[list[list[int]]] = [[] for _ in x.facets]
-    for ts in itertools.combinations(x.types, x.n):
-        for members in x.faces(ts).values():
-            for idx in members:
-                panels[idx].append(members)
-    reached = bfs_distances(0, lambda idx: itertools.chain.from_iterable(panels[idx]))
-    return len(reached) == len(x.facets)
-
-
 def thickness(x: PartiteComplex) -> int:
     """Minimum number of facets containing a codimension-1 simplex."""
     if x.n < 0:
@@ -385,9 +308,10 @@ def _codimension_2_links(x: PartiteComplex):
     For each column pair (i, j), one `_row_groups` call on the other columns
     groups the facets into the stars of the simplices of cotype {types[i],
     types[j]}; a star's facets are the edges of its simplex's link, a
-    bipartite graph on columns i and j.  Runs are numbered in order of their
-    leaders, their smallest facet indices (the sort is stable), by a count
-    over a leader mask; that is `faces()` order.  Returns each pair's slice
+    bipartite graph on columns i and j.  Links are in link order, the order
+    of each link's first facet: runs are numbered in order of their leaders,
+    their smallest facet indices (the sort is stable), by a count over a
+    leader mask.  Returns each pair's slice
     of the links, in `itertools.combinations` order; each link's face as a
     row of vertex indices, and its vertex count; and each edge's link and
     the rows of its two ends, a vertex's row being its rank by id among its
@@ -603,7 +527,8 @@ class PairSpectrum:
     representatives: int
     max_disagreement: float
     link_diameter: int
-    link_lengths: tuple[int, ...]  # vertex count of each link, in faces() order
+    # vertex count of each link, in order of each link's first facet
+    link_lengths: tuple[int, ...]
     all_cycles: bool
 
 

@@ -22,6 +22,7 @@ maximal-parabolic cosets, each labelled by its smallest element.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .complexes import (
     ComplexCosineReport,
     PartiteComplex,
     _json_int,
-    bfs_distances,
     cosine_matrix_of_complex,
 )
 from .errors import GroupEnumerationError, InputFormatError, ValidationError
@@ -152,6 +152,20 @@ def classify_coxeter(cox: CoxeterMatrix, c: CosineMatrix | None = None) -> str:
     if all(label == "spherical" for label in labels):
         return "spherical"
     return "affine" if labels == ["affine"] else "other"
+
+
+def bfs_distances(start, neighbors) -> dict:
+    """Breadth-first distances from start to every vertex it reaches;
+    neighbors(v) gives the vertices adjacent to v."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in neighbors(cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
 
 
 def _components(cox: CoxeterMatrix) -> list[list[int]]:

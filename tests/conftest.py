@@ -1,6 +1,8 @@
 """Shared helpers: fixture loading, seeded family generators, cycle
-complexes, the Kassabov reduction that acceptance criterion 09 checks, JSON
-fuzz strategies, and a terminal summary that prints one PASS/FAIL line per
+complexes, reference implementations of the complex checks (a per-facet
+constructor, faces, stars, links and gallery connectivity by loops), the
+Kassabov reduction that acceptance criterion 09 checks, JSON fuzz
+strategies, and a terminal summary that prints one PASS/FAIL line per
 acceptance criterion."""
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import garland as g
 from garland.complexes import PartiteComplex
+from garland.coxeter import bfs_distances
 from garland.errors import GarlandError, ValidationError
 from garland.linalg import orthonormalize
 from garland.subspaces import CosineMatrix, Subspace, SubspaceFamily
@@ -122,6 +125,80 @@ def cycle_complex(length: int) -> PartiteComplex:
     vt = {i: i % 2 for i in range(length)}
     facets = tuple(frozenset((i, (i + 1) % length)) for i in range(length))
     return PartiteComplex(vt, facets)
+
+
+def facet_array_by_facets(vertex_types, facets) -> np.ndarray:
+    """The facet array of `PartiteComplex(vertex_types, facets)` by one pass
+    in facet order, which checks that each facet is new, declared, and holds
+    one vertex of each type, so an error names the first bad facet."""
+    vt = dict(vertex_types)
+    facets = tuple(map(frozenset, facets))
+    if not facets:
+        raise ValidationError("a complex needs at least one facet")
+    types = tuple(sorted(set(vt.values())))
+    index = {v: i for i, v in enumerate(sorted(vt))}
+    rows, seen = [], set()
+    for f in facets:
+        if f in seen:
+            raise ValidationError(f"duplicate facet {sorted(f)}")
+        seen.add(f)
+        unknown = [v for v in f if v not in vt]
+        if unknown:
+            raise ValidationError(f"facet {sorted(f)} uses undeclared vertices {unknown}")
+        if sorted(map(vt.__getitem__, f)) != list(types):
+            raise ValidationError(
+                f"facet {sorted(f)} must have exactly one vertex of each type "
+                f"{list(types)}, got types {sorted(map(vt.__getitem__, f))}"
+            )
+        by_type = {vt[v]: index[v] for v in f}
+        rows.append([by_type[t] for t in types])
+    return np.array(rows, dtype=np.intp).reshape(len(facets), len(types))
+
+
+def faces(x: PartiteComplex, types) -> dict[frozenset[int], list[int]]:
+    """Each face of the given type set, mapped to the indices of its facets,
+    the faces in order of their first facets."""
+    keep = frozenset(types)
+    kept = frozenset(v for v, t in x.vertex_types.items() if t in keep)
+    groups: dict[frozenset[int], list[int]] = {}
+    for idx, f in enumerate(x.facets):
+        groups.setdefault(f & kept, []).append(idx)
+    return groups
+
+
+def star(x: PartiteComplex, sigma) -> list[int]:
+    """Indices of the facets containing sigma, in facet order; empty when
+    sigma is not a simplex."""
+    s = frozenset(sigma)
+    # no face has an undeclared vertex (type None) or two of one type
+    return faces(x, {x.vertex_types.get(v) for v in s}).get(s, [])
+
+
+def link_of(x: PartiteComplex, sigma) -> PartiteComplex:
+    """Link of a simplex: faces disjoint from sigma whose union with it is in
+    X, in the order of the facets of X they lie in."""
+    s = frozenset(sigma)
+    if not s:
+        return x
+    members = star(x, s)
+    if not members:
+        raise ValidationError(f"{sorted(s)} is not a simplex of the complex")
+    link_facets = tuple(x.facets[idx] - s for idx in members)
+    used = set().union(*link_facets)
+    return PartiteComplex({v: x.vertex_types[v] for v in used}, link_facets)
+
+
+def gallery_connected(x: PartiteComplex) -> bool:
+    """Whether every facet is reachable through shared codimension-1 faces."""
+    if x.n < 1:
+        return True  # any two points meet in the empty simplex
+    panels: list[list[list[int]]] = [[] for _ in x.facets]
+    for ts in itertools.combinations(x.types, x.n):
+        for members in faces(x, ts).values():
+            for idx in members:
+                panels[idx].append(members)
+    reached = bfs_distances(0, lambda idx: itertools.chain.from_iterable(panels[idx]))
+    return len(reached) == len(x.facets)
 
 
 def dynkin(rank, edges):

@@ -288,6 +288,31 @@ MALFORMED = {
         ' {"id": 3, "type": 1}], "facets": [[0, 0, 1], [0, 3], [2, 1], [2, 3]]}',
         "facets[0] repeats vertex id 0",
     ),
+    # the constructor's checks, first bad facet first
+    "complex-undeclared-vertex": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 0}],'
+        ' "facets": [[0, 1], [1, 7], [2, 1], [2, 1]]}',
+        "facet [1, 7] uses undeclared vertices [7]",
+    ),
+    "complex-duplicate-facet": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 0}],'
+        ' "facets": [[0, 1], [2, 1], [1, 0], [2, 7]]}',
+        "duplicate facet [0, 1]",
+    ),
+    "complex-two-vertices-of-one-type": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 0}],'
+        ' "facets": [[0, 1], [0, 2], [0, 1]]}',
+        "facet [0, 2] must have exactly one vertex of each type [0, 1], got types [0, 0]",
+    ),
+    "complex-facet-short-of-a-type": (
+        "analyze-complex",
+        '{"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 0}],'
+        ' "facets": [[0, 1], [2], [9]]}',
+        "facet [2] must have exactly one vertex of each type [0, 1], got types [0]",
+    ),
     "complex-n-string": ("analyze-complex", '{"n": "x", ' + COMPLEX_OK + "}", "n must be"),
     "complex-single-edge-links": (
         "analyze-complex",

