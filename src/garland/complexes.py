@@ -94,8 +94,9 @@ class PartiteComplex:
         # holds a facet that could not be placed
         at = (sizes == width)[owner]
         chambers = np.full((len(facets), width), -1, dtype=np.intp)
-        chambers[owner[at], _columns(vt, ids, types)[vertices[at]]] = vertices[at]
-        self._keep(vt, types, _checked(vt, types, chambers, facets))
+        columns = _columns(vt, ids, types)
+        chambers[owner[at], columns[vertices[at]]] = vertices[at]
+        self._keep(vt, types, _checked(vt, types, columns, chambers, facets))
 
     @classmethod
     def from_facet_array(cls, vertex_types, chambers) -> PartiteComplex:
@@ -111,7 +112,8 @@ class PartiteComplex:
                 f"got shape {chambers.shape}"
             )
         x = cls.__new__(cls)
-        x._keep(vt, types, _checked(vt, types, chambers.astype(np.intp)))
+        columns = _columns(vt, sorted(vt), types)
+        x._keep(vt, types, _checked(vt, types, columns, chambers.astype(np.intp)))
         return x
 
     def _keep(self, vertex_types, types, chambers):
@@ -154,9 +156,10 @@ def _columns(vertex_types: dict[int, int], ids: list[int], types: tuple[int, ...
     return np.array([column_of_type[vertex_types[v]] for v in ids], dtype=np.intp)
 
 
-def _checked(vertex_types, types, chambers, facets=None) -> np.ndarray:
+def _checked(vertex_types, types, columns, chambers, facets=None) -> np.ndarray:
     """The facet array `chambers`, once every index is in range, column c
-    holds only vertices of type types[c], and no row repeats.
+    holds only vertices of type types[c], and no row repeats; `columns` is
+    the `_columns` array of the vertices.
 
     The error names the first row that breaks a rule.  With `facets`, the
     facet k that row k was placed from names it: a row left with a -1 is a
@@ -164,16 +167,16 @@ def _checked(vertex_types, types, chambers, facets=None) -> np.ndarray:
     """
     if not len(chambers):
         raise ValidationError("a complex needs at least one facet")
-    ids = sorted(vertex_types)
-    outside = ((chambers < 0) | (chambers >= len(ids))).any(axis=1)
+    outside = ((chambers < 0) | (chambers >= len(columns))).any(axis=1)
     inside = np.where(outside[:, None], 0, chambers)
-    foreign = (_columns(vertex_types, ids, types)[inside] != np.arange(len(types))).any(axis=1)
+    foreign = (columns[inside] != np.arange(len(types))).any(axis=1)
     order, bounds = _row_groups(chambers)
     repeated = np.ones(len(chambers), dtype=bool)
     repeated[order[bounds[:-1]]] = False  # each run's first row is new
     bad = outside | foreign | repeated
     if not bad.any():
         return chambers
+    ids = sorted(vertex_types)
     k = int(np.argmax(bad))
     if facets is None and outside[k]:
         raise ValidationError(
@@ -392,7 +395,7 @@ def _walk_spectra(sizes, link, rows, cols) -> tuple[np.ndarray, np.ndarray, np.n
             degree = adj.sum(axis=2)
             d = np.maximum(degree, 1.0)
             walk = adj / np.sqrt(d[:, :, None] * d[:, None, :])
-            second[members] = sym_eigs(walk).eigenvalues[:, -2]
+            second[members] = sym_eigs(walk)[:, -2]
             diameter[members] = _diameters(adj)
             cycle[members] = (degree == 2).all(axis=1) & (diameter[members] >= 0)
     return second[solver], diameter[solver], cycle[solver]

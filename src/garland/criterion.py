@@ -121,7 +121,7 @@ def min_thickness(c: CosineMatrix | np.ndarray) -> int:
     if isinstance(c, CosineMatrix):
         smallest = c.min_eigenvalue()
     else:
-        smallest = float(sym_eigs(as_symmetric_matrix(c)).eigenvalues[0])
+        smallest = float(sym_eigs(as_symmetric_matrix(c))[0])
     passes = _pass_test(smallest)
     # `above` passes once the gallop ends; `below` fails, or is 1, under the
     # smallest q allowed

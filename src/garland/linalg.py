@@ -1,15 +1,15 @@
 """Symmetric eigenproblems, orthonormal spans and small-matrix utilities.
 
-Everything downstream funnels through `sym_eigs`, the one eigensolver seam:
-it validates symmetry, then calls LAPACK's symmetric solvers through
-`numpy.linalg.eigvalsh`/`eigh`, which return eigenvalues in ascending order
-and eigenvectors orthonormal to working precision (Golub and Van Loan,
-Matrix Computations, sections 8.3 and 8.5).  `classify_definiteness`
-validates its matrix once and makes the same LAPACK call; `definiteness_of`
-is its rule, which a `CosineMatrix` applies to the spectrum it keeps.
+Every eigensolve funnels through `sym_eigs`, the one eigensolver seam: it
+validates symmetry, then calls LAPACK's symmetric solver through
+`numpy.linalg.eigvalsh`, which returns the eigenvalues in ascending order
+(Golub and Van Loan, Matrix Computations, section 8.3), and nothing else.
+`classify_definiteness` solves through it too; `definiteness_of` is its
+rule, which a `CosineMatrix` applies to the spectrum it keeps.
 `left_singular` is the one singular value decomposition (section 8.6):
-`orthonormalize` and the subspace lattice cut its rank.  No other module
-calls `numpy.linalg` to factor a matrix.
+`orthonormalize` and the subspace lattice cut its rank, and the principal
+cosines of two subspaces are its singular values.  No other module calls
+`numpy.linalg` to factor a matrix.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ from .errors import DimensionMismatchError, ValidationError
 SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-8  # singular values up to this, relative to the matrix scale, count as 0
 RESIDUAL_SCALE = 1e-9
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order, with eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -96,20 +88,13 @@ def as_symmetric_matrix(matrix) -> np.ndarray:
     return m
 
 
-def sym_eigs(matrix, want_vectors: bool = False) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, or of each matrix of a
-    stack (..., k, k).
+def sym_eigs(matrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack
+    (..., k, k), ascending along the last axis.
 
-    Returns eigenvalues ascending along the last axis; when `want_vectors` is
-    set the columns of `eigenvectors` are the matching orthonormal
-    eigenvectors.  A stack is one LAPACK call per matrix inside numpy, with
-    no Python loop.
+    A stack is one LAPACK call per matrix inside numpy, with no Python loop.
     """
-    m = as_symmetric(matrix)
-    if want_vectors:
-        w, v = np.linalg.eigh(m)
-        return Spectrum(eigenvalues=w, eigenvectors=v)
-    return Spectrum(eigenvalues=np.linalg.eigvalsh(m))
+    return np.linalg.eigvalsh(as_symmetric(matrix))
 
 
 def definiteness_of(m: np.ndarray, eigenvalues: np.ndarray) -> DefinitenessClass:
@@ -131,12 +116,11 @@ def classify_definiteness(matrix) -> DefinitenessClass:
     Positive definite when the smallest eigenvalue exceeds the zero tolerance
     `RESIDUAL_SCALE` * max(1, max |entry|); positive semidefinite when it is
     at least minus that tolerance, with corank the number of eigenvalues
-    within it of zero; indefinite otherwise.  The matrix is validated once;
-    a `CosineMatrix` applies the same rule to the spectrum it keeps.
+    within it of zero; indefinite otherwise.  The spectrum comes from
+    `sym_eigs`; a `CosineMatrix` applies the same rule to the one it keeps.
     """
     m = as_symmetric_matrix(matrix)
-    w = np.linalg.eigvalsh(m)  # m is validated already; sym_eigs would check it again
-    return definiteness_of(m, w)
+    return definiteness_of(m, sym_eigs(m))
 
 
 def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:

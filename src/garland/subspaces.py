@@ -9,15 +9,15 @@ Both the intersection and the angle read the principal cosines of U and V,
 the singular values of B_U^T B_V (Bjorck and Golub, Math. Comp. 27, 1973;
 Golub and Van Loan, Matrix Computations, section 6.4.3): the principal
 vectors whose cosine is within `INTERSECT_TOL` of 1 span the intersection,
-and the angle cosine is the largest principal cosine below that cut.
-Pairs of equal dimensions share one stacked eigensolve: `intersect` also
-takes two sequences of subspaces, and `cosine_matrix_of_family` reads all
-its pairs at once.
+and the angle cosine is the largest principal cosine below that cut.  A
+cosine that is 0 in exact arithmetic reads as round-off, about 1e-16, not
+as its square root.  Pairs of equal dimensions share one stacked SVD:
+`intersect` also takes two sequences of subspaces, and
+`cosine_matrix_of_family` reads all its pairs at once.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +29,7 @@ from .linalg import (
     DefinitenessClass,
     as_symmetric_matrix,
     definiteness_of,
+    left_singular,
     max_abs,
     orthonormalize,
     sym_eigs,
@@ -37,10 +38,10 @@ from .linalg import (
 INTERSECT_TOL = 1e-8
 GRAM_TOL = 1e-10
 # a simplex of k vertices has k (k - 1) / 2 face pairs, each a (k-1) x (k-1)
-# cross-Gram and an eigensolve in one stack, so the work grows as k^4: k
-# random unit vertices in R^k take, through the CLI in process on a 2-CPU
-# machine, 0.09 s and 59 MB at k = 32, 0.64 s and 153 MB at k = 48 and
-# 1.4 s and 407 MB at k = 64
+# cross product in one stacked SVD, so the work grows as k^4: k random unit
+# vertices in R^k take, through the CLI in process on a 2-CPU machine, 0.05 to
+# 0.08 s and 52 MB at k = 32, 0.27 to 0.41 s and 116 MB at k = 48 and 0.8 s
+# and 288 MB at k = 64
 MAX_SIMPLEX_VERTICES = 32
 
 
@@ -145,7 +146,7 @@ class CosineMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The eigenvalues in ascending order, read-only."""
-        w = sym_eigs(self.matrix).eigenvalues
+        w = sym_eigs(self.matrix)
         w.flags.writeable = False
         return w
 
@@ -158,25 +159,26 @@ class CosineMatrix:
         return float(self.eigenvalues[0])
 
 
-def _principal_cosines(pairs, want_vectors: bool = False):
-    """Squared principal cosines of each U against its V, for pairs (U, V)
-    with dim U >= 1.
+def _principal_cosines(pairs):
+    """Principal cosines of each U against its V, for pairs (U, V); a pair
+    with a zero-dimensional side has none and is skipped.
 
     The pairs are grouped by their pair of dimensions, and each group is one
-    stacked `sym_eigs` of the cross-Grams (B_U^T B_V)(B_U^T B_V)^T.  Yields,
-    per group, the indices of its pairs, their cosines (one row per pair,
-    ascending, one per basis vector of U) and, when `want_vectors` is set,
-    the matching U-side principal vectors as columns.  The eigensolve always
-    takes eigenvectors, so the cosines have the same bits either way.
+    stacked `left_singular` of the cross products B_U^T B_V.  Yields, per
+    group, the indices of its pairs, their cosines (one row per pair,
+    descending, min(dim U, dim V) of them) and the matching U-side principal
+    vectors as columns.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for k, (u, v) in enumerate(pairs):
-        groups.setdefault((u.dim, v.dim), []).append(k)
+        if u.dim and v.dim:
+            groups.setdefault((u.dim, v.dim), []).append(k)
     for ks in groups.values():
         us = np.stack([pairs[k][0].basis for k in ks])
         cross = us.transpose(0, 2, 1) @ np.stack([pairs[k][1].basis for k in ks])
-        spec = sym_eigs(cross @ cross.transpose(0, 2, 1), want_vectors=True)
-        yield ks, spec.eigenvalues, us @ spec.eigenvectors if want_vectors else None
+        left, singular = left_singular(cross)
+        # LAPACK may return -0.0, and a cosine matrix entry -c must stay -0.0
+        yield ks, np.abs(singular), us @ left
 
 
 def _check_ambient(u: Subspace, v: Subspace, where: str = "") -> None:
@@ -194,8 +196,8 @@ def intersect(
 
     Spanned by the principal vectors of U whose principal cosine against V
     is at least 1 - `INTERSECT_TOL`, the cut `angle_cos` applies.  A
-    sequence makes one stacked eigensolve per pair of dimensions, and one
-    pair is its one-element case, so both give the same bits.
+    sequence makes one stacked SVD per pair of dimensions, and one pair is
+    its one-element case, so both give the same bits.
     """
     one = isinstance(u, Subspace)
     if one != isinstance(v, Subspace):
@@ -203,18 +205,14 @@ def intersect(
     us, vs = ([u], [v]) if one else (list(u), list(v))
     if len(us) != len(vs):
         raise DimensionMismatchError(f"sequences differ in length: {len(us)} vs {len(vs)}")
-    live = []
     for k, (a, b) in enumerate(zip(us, vs)):
         _check_ambient(a, b, "" if one else f"pair {k}: ")
-        if a.dim and b.dim:
-            live.append(k)
     out = [None] * len(us)
-    cut = (1.0 - INTERSECT_TOL) ** 2
-    for ks, cos2, vectors in _principal_cosines([(us[k], vs[k]) for k in live], want_vectors=True):
-        keep = cos2 >= cut
+    for ks, cosines, vectors in _principal_cosines(list(zip(us, vs))):
+        keep = cosines >= 1.0 - INTERSECT_TOL
         for k, row, vec, meets in zip(ks, keep, vectors, keep.any(axis=-1).tolist()):
             if meets:
-                out[live[k]] = Subspace(vec.shape[0], vec[:, row])
+                out[k] = Subspace(vec.shape[0], vec[:, row])
     # the empty intersections in one ambient space share one zero subspace
     zeros = {d: Subspace.zero(d) for d in {a.ambient_dim for a, w in zip(us, out) if w is None}}
     out = [zeros[a.ambient_dim] if w is None else w for a, w in zip(us, out)]
@@ -224,13 +222,12 @@ def intersect(
 def _angle_cosines(pairs) -> list[float]:
     """`angle_cos` of each pair (U, V), already ordered smaller side first."""
     out = [0.0] * len(pairs)
-    live = [k for k, (u, _) in enumerate(pairs) if u.dim]
-    cut = (1.0 - INTERSECT_TOL) ** 2
-    for ks, cos2, _ in _principal_cosines([pairs[k] for k in live]):
-        # each row ascends, so the cosines below the cut are a prefix
-        for k, row, below in zip(ks, cos2, np.count_nonzero(cos2 < cut, axis=-1)):
-            if below:
-                out[live[k]] = math.sqrt(max(float(row[below - 1]), 0.0))
+    cut = 1.0 - INTERSECT_TOL
+    for ks, cosines, _ in _principal_cosines(pairs):
+        # each row descends, so the cosines at or above the cut are a prefix
+        for k, row, above in zip(ks, cosines, np.count_nonzero(cosines >= cut, axis=-1)):
+            if above < len(row):
+                out[k] = float(row[above])
     return out
 
 
@@ -245,8 +242,8 @@ def angle_cos(u: Subspace, v: Subspace) -> float:
     1 - `INTERSECT_TOL`, so the shared directions are removed first; 0 when
     there is none, in particular when one subspace contains the other (the
     zero subspace is contained in everything).  The cosines are read from
-    the cross-Gram on the side of the smaller subspace, the one whose basis
-    bytes come first between equal dimensions, so swapping the two
+    the cross product on the side of the smaller subspace, the one whose
+    basis bytes come first between equal dimensions, so swapping the two
     arguments gives the same bits.
     """
     _check_ambient(u, v)
@@ -255,7 +252,7 @@ def angle_cos(u: Subspace, v: Subspace) -> float:
 
 def cosine_matrix_of_family(family: SubspaceFamily) -> CosineMatrix:
     """Cosine matrix of a family: unit diagonal, -angle_cos off the diagonal,
-    with the cosines of all pairs of one shape from one stacked eigensolve."""
+    with the cosines of all pairs of one shape from one stacked SVD."""
     members = family.members
     k = len(members)
     index = [(i, j) for i in range(k) for j in range(i + 1, k)]

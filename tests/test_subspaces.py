@@ -117,12 +117,30 @@ def test_angle_cos_orthogonal_planes():
     assert g.angle_cos(xy, zw) <= 1e-12
 
 
+def planted_pair(seed: int, c: float) -> tuple[g.Subspace, g.Subspace]:
+    """Two 7-spaces of R^12 that share a 6-space and have principal cosine c
+    beyond it, each spanned by a randomly rotated orthonormal basis."""
+    rng = np.random.default_rng([seed, 12])
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    u = q[:, :7]
+    v = np.column_stack([q[:, :6], c * q[:, 6] + math.sqrt(1.0 - c * c) * q[:, 7]])
+    turns = [np.linalg.qr(rng.standard_normal((7, 7)))[0] for _ in range(2)]
+    return tuple(g.Subspace.from_spanning(12, (b @ t).T) for b, t in zip((u, v), turns))
+
+
 def test_angle_cos_removes_intersection_first():
     # planes sharing the x axis, tilted by angle t in the yz directions
     t = 0.3
     u = g.Subspace.from_spanning(3, [[1.0, 0, 0], [0, 1.0, 0]])
     v = g.Subspace.from_spanning(3, [[1.0, 0, 0], [0, math.cos(t), math.sin(t)]])
     assert abs(g.angle_cos(u, v) - math.cos(t)) <= 1e-12
+    # a cosine beyond a shared 6-space is a singular value, read to round-off:
+    # an exact 0 reads about 1e-16, not the square root of that
+    for seed in range(200):
+        for c in (0.0, 1e-10):
+            u, v = planted_pair(seed, c)
+            assert g.intersect(u, v).dim == 6
+            assert abs(g.angle_cos(u, v) - c) <= 1e-14, (seed, c)
 
 
 def test_angle_cos_matches_projector_oracle():
@@ -144,7 +162,7 @@ def test_angle_cos_matches_projector_oracle():
 
 
 def test_angle_cos_symmetric():
-    # equal dimensions too: both orders must eigensolve on the same side
+    # equal dimensions too: both orders must factor on the same side
     rng = np.random.default_rng(23)
     for v_dim in (2, 3):
         for _ in range(50):
@@ -169,18 +187,19 @@ def test_intersect_and_angle_cos_share_one_cut(gap, shared):
             assert abs(g.angle_cos(a, b) - c) <= 1e-12
 
 
-def test_intersect_and_angle_cos_make_one_eigensolve(monkeypatch):
+def test_intersect_and_angle_cos_make_one_factorization(monkeypatch):
     calls = []
-    real = subspaces.sym_eigs
+    real = subspaces.left_singular
 
-    def counted(matrix, want_vectors=False):
+    def counted(matrix, complete=False):
         calls.append(1)
-        return real(matrix, want_vectors)
+        return real(matrix, complete)
 
     def refused(*args, **kwargs):
         raise AssertionError("intersect and angle_cos read the principal cosines only")
 
-    monkeypatch.setattr(subspaces, "sym_eigs", counted)
+    monkeypatch.setattr(subspaces, "left_singular", counted)
+    monkeypatch.setattr(subspaces, "sym_eigs", refused)
     monkeypatch.setattr(subspaces, "orthonormalize", refused)
     monkeypatch.setattr(g.Subspace, "from_spanning", refused)
     t = 0.3
@@ -262,8 +281,8 @@ def test_cosine_matrix_solves_its_spectrum_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     # the bits of a separate `sym_eigs`, and one definiteness rule
-    assert np.array_equal(c.eigenvalues, sym_eigs(m).eigenvalues)
-    assert c.min_eigenvalue() == sym_eigs(m).eigenvalues[0]
+    assert np.array_equal(c.eigenvalues, sym_eigs(m))
+    assert c.min_eigenvalue() == sym_eigs(m)[0]
     assert c.definiteness == g.classify_definiteness(m)
     assert not c.eigenvalues.flags.writeable
 
@@ -317,6 +336,12 @@ def test_spherical_face_family_orthonormal_is_identity():
     fam = g.spherical_face_family(np.eye(3))
     cm = g.cosine_matrix_of_family(fam)
     assert max_abs(cm.matrix - np.eye(3)) <= 1e-9
+    # rotated, every pair of faces shares a 10-space and is orthogonal
+    # beyond it, so each exact cosine is 0
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((12, 12)))
+    cm = g.cosine_matrix_of_family(g.spherical_face_family(q))
+    assert max_abs(cm.matrix - np.eye(12)) <= 1e-14
+    assert cm.min_eigenvalue() >= 1.0 - 1e-14
 
 
 def test_spherical_face_family_two_vertices():
