@@ -105,7 +105,7 @@ def cmd_analyze_coxeter(args, data) -> tuple[dict, list[str]]:
         "classification": classify_coxeter(cox, c),
     }
     if args.min_thickness:
-        result["min_thickness_q"] = crit.min_thickness(c)
+        result["min_thickness_q"] = crit.min_thickness(c.min_eigenvalue())
     if args.thickness is not None:
         report = crit.vanishing_report(cox, args.thickness, c)
         result["vanishing"] = report

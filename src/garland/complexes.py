@@ -2,16 +2,17 @@
 
 A complex is stored as its facet array: one row per facet and one column per
 type, holding dense vertex indices ranked by id.  Its types are those of its
-vertices.  Every complex, loaded or built, passes the same checks on whole
-columns: every index is in range, column c holds only vertices of type
-types[c], and no row repeats.  Built from facets, each facet of the right
-size is first placed in a row by the types of its vertices; one that cannot
-be placed (an undeclared vertex, or two vertices of one type) is a bad row
-too.  Either way an error names the first bad row, which is the first bad
-facet.  The facets as frozensets of ids are derived on first use.  Grouping
-the rows by every column but one gives the panels of each cotype, from one
-stable lexsort per column, and the smallest panel is the thickness.  No
-link is built as a complex: both checks below read the facet array.
+vertices, at most `MAX_TYPES` of them.  Every complex, loaded or built,
+passes the same checks on whole columns: every index is in range, column c
+holds only vertices of type types[c], and no row repeats.  Built from
+facets, each facet of the right size is first placed in a row by the types
+of its vertices; one that cannot be placed (an undeclared vertex, or two
+vertices of one type) is a bad row too.  Either way an error names the
+first bad row, which is the first bad facet.  The facets as frozensets of
+ids are derived on first use.  Grouping the rows by every column but one
+gives the panels of each cotype, from one stable lexsort per column, and the
+smallest panel is the thickness.  No link is built as a complex: both
+checks below read the facet array.
 
 `validate_complex` decides B2, that every link is gallery connected, without
 taking a link.  The link of a simplex of type T is gallery connected exactly
@@ -57,6 +58,13 @@ from .subspaces import CosineMatrix
 # and 21 s and 705 MB at v = 4000; a stack of several links holds at most
 # MAX_LINK_VERTICES**2 entries
 MAX_LINK_VERTICES = 1024
+# B2 labels the facets by residue once per type set below the facet size,
+# about 2^types sets: in process on a 2-CPU machine, one facet takes 0.012 s
+# at 8 types, 0.037 s at 10, 0.14 s at 12 and 0.50 s at 14, and the boundary
+# of the cross-polytope with that many types (2^types facets, which passes
+# B2) takes 0.17 s at 10, 0.58 s at 11 and 2.2 s at 12; the work also grows
+# linearly with the facet count
+MAX_TYPES = 10
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -77,7 +85,7 @@ class PartiteComplex:
     def __init__(self, vertex_types, facets):
         vt = dict(vertex_types)
         facets = tuple(map(frozenset, facets))
-        types = tuple(sorted(set(vt.values())))
+        types = _types(vt)
         ids = sorted(vt)
         width = len(types)
         # each vertex as its index, or -1 when undeclared, facet after facet
@@ -104,7 +112,7 @@ class PartiteComplex:
         the column checks of the constructor; an error names the first bad
         row."""
         vt = dict(vertex_types)
-        types = tuple(sorted(set(vt.values())))
+        types = _types(vt)
         chambers = np.asarray(chambers)
         if chambers.dtype.kind not in "iu" or chambers.shape[1:] != (len(types),):
             raise ValidationError(
@@ -148,6 +156,16 @@ class PartiteComplex:
             group[order] = np.arange(len(bounds) - 1).repeat(np.diff(bounds))
             panels.append((order, bounds, group))
         return tuple(panels)
+
+
+def _types(vertex_types: dict[int, int]) -> tuple[int, ...]:
+    """The sorted vertex types; more than `MAX_TYPES` are refused."""
+    types = tuple(sorted(set(vertex_types.values())))
+    if len(types) > MAX_TYPES:
+        raise ValidationError(
+            f"a complex of more than {MAX_TYPES} types is not supported, got {len(types)}"
+        )
+    return types
 
 
 def _columns(vertex_types: dict[int, int], ids: list[int], types: tuple[int, ...]) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 A Coxeter matrix of rank r describes generators s_0, ..., s_{r-1} with
 relations (s_i s_j)^{m[i][j]} = 1; the cosine matrix has entries
--cos(pi / m[i][j]) with the convention that an infinite label gives -1.
+-cos(pi / m[i][j]), so an infinite label gives -1.
 In the geometric representation generator s acts on R^r by
 x -> x - 2 B(x, e_s) e_s, with bilinear form B given by the cosine matrix.
 A finite W permutes its finite root system, the orbit of the simple roots
@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .errors import GroupEnumerationError, InputFormatError, ValidationError
 from .linalg import classify_definiteness
-from .subspaces import CosineMatrix
+from .subspaces import CosineMatrix, cos_pi_over
 
 DEFAULT_GROUP_CAP = 10_000
 
@@ -106,21 +106,10 @@ def load_coxeter_matrix(data) -> CoxeterMatrix:
 
 
 def coxeter_cosine(cox: CoxeterMatrix) -> CosineMatrix:
-    """Cosine matrix: -cos(pi/m[i][j]), with inf giving -1 and the diagonal 1."""
-    r = cox.rank
-    c = np.eye(r)
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            mij = cox.m[i][j]
-            if mij == math.inf:
-                c[i, j] = -1.0
-            elif mij == 2:
-                c[i, j] = 0.0
-            else:
-                c[i, j] = -math.cos(math.pi / mij)
-    return CosineMatrix(c)
+    """Cosine matrix: -cos(pi/m[i][j]) by `cos_pi_over`, so the diagonal
+    (m = 1) is 1, an infinite order gives -1, and the orders 2, 3, 4, 5, 6
+    and 8 give their correctly rounded cosines, with +0.0 for m = 2."""
+    return CosineMatrix(np.array([[0.0 - cos_pi_over(m) for m in row] for row in cox.m]))
 
 
 def classify_coxeter(cox: CoxeterMatrix, c: CosineMatrix | None = None) -> str:

@@ -25,15 +25,11 @@ from .errors import (
     FeitHigmanExcludedError,
     ValidationError,
 )
-from .linalg import as_symmetric_matrix, sym_eigs
-from .subspaces import CosineMatrix
+from .subspaces import CosineMatrix, cos_pi_over
 
-# 2 cos(pi/m) for each gonality m that Feit-Higman allows a thick finite
-# generalized m-gon (J. Algebra 1, 1964)
-_TWO_COS = {
-    2: 0.0, 3: 1.0, 4: math.sqrt(2.0), 6: math.sqrt(3.0), 8: math.sqrt(2.0 + math.sqrt(2.0)),
-}
-ALLOWED_GONALITIES = tuple(_TWO_COS)
+# the gonalities m that Feit-Higman allows a thick finite generalized m-gon
+# (J. Algebra 1, 1964)
+ALLOWED_GONALITIES = (2, 3, 4, 6, 8)
 BORDERLINE_TOL = 1e-12
 
 
@@ -64,11 +60,11 @@ def feit_higman_bound(m: int, q: int) -> float:
     the bound is cos(pi/m) * 2*sqrt(q)/(q+1).
     """
     q = _check_q(q)
-    if m not in _TWO_COS:
+    if m not in ALLOWED_GONALITIES:
         raise FeitHigmanExcludedError(
             f"gonality {m} excluded by Feit-Higman: no thick finite generalized {m}-gon exists"
         )
-    return _TWO_COS[m] * (math.sqrt(q) / (q + 1))
+    return 2.0 * cos_pi_over(m) * (math.sqrt(q) / (q + 1))
 
 
 def _lower_bound_scale(q: int) -> float:
@@ -77,7 +73,7 @@ def _lower_bound_scale(q: int) -> float:
     return 2.0 * math.sqrt(q) / (q + 1)
 
 
-def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndarray:
+def building_cosine_lower_bound(c: CosineMatrix, q: int) -> np.ndarray:
     """The matrix s C + (1 - s) I, with s = 2*sqrt(q)/(q+1).
 
     Any building of type C with thickness q+1 has a complex cosine matrix at
@@ -85,9 +81,8 @@ def building_cosine_lower_bound(c: CosineMatrix | np.ndarray, q: int) -> np.ndar
     affinely, so its smallest eigenvalue is s (mu - threshold(q)), mu that of C.
     """
     q = _check_q(q)
-    matrix = c.matrix if isinstance(c, CosineMatrix) else as_symmetric_matrix(c)
     scale = _lower_bound_scale(q)
-    return scale * matrix + (1.0 - scale) * np.eye(matrix.shape[0])
+    return scale * c.matrix + (1.0 - scale) * np.eye(c.dim)
 
 
 def _pass_test(mu: float):
@@ -104,25 +99,18 @@ def _pass_test(mu: float):
     return lambda q: a <= 0 or 4 * a * a * q < (q + 1) ** 2 * d * d
 
 
-def min_thickness(c: CosineMatrix | np.ndarray) -> int:
-    """Smallest q >= 2 whose threshold lies strictly below the smallest
-    eigenvalue mu, with the comparison decided exactly by `_pass_test`.
+def min_thickness(mu: float) -> int:
+    """Smallest q >= 2 whose threshold lies strictly below mu, a cosine
+    matrix's smallest eigenvalue, decided exactly by `_pass_test`.
 
-    Exists for every input since the threshold decreases without bound; any
-    positive semidefinite cosine matrix already passes at q = 2.  A
-    `CosineMatrix` gives the mu of the spectrum it keeps, and a raw matrix is
-    checked to be one symmetric matrix and solved.  Passing is monotone in q,
-    so the search gallops up from q = 2, doubling q until it passes, and
-    bisects between the last failing q and the first passing one; its work
-    grows like log q.
-    A q past the float range, where `threshold` cannot be evaluated, is
-    refused as it is there.
+    Exists for every finite mu, since the threshold decreases without bound.
+    Passing is monotone in q, so the search doubles q from 2 until it passes
+    and bisects back; its work grows like log q.  A q past the float range,
+    where `threshold` cannot be evaluated, is refused as it is there.
     """
-    if isinstance(c, CosineMatrix):
-        smallest = c.min_eigenvalue()
-    else:
-        smallest = float(sym_eigs(as_symmetric_matrix(c))[0])
-    passes = _pass_test(smallest)
+    if not math.isfinite(mu):
+        raise ValidationError(f"mu must be a finite number, got {mu}")
+    passes = _pass_test(mu)
     # `above` passes once the gallop ends; `below` fails, or is 1, under the
     # smallest q allowed
     below, above = 1, 2

@@ -49,7 +49,7 @@ import numpy as np
 from .complexes import _json_int, _number_table
 from .errors import InputFormatError, ValidationError
 from .linalg import RANK_TOL, left_singular
-from .subspaces import Subspace, SubspaceFamily, intersect
+from .subspaces import MAX_AMBIENT_DIM, Subspace, SubspaceFamily, intersect
 
 # the lattice has 2^(n+1) index sets.  At n = 13, n+1 lines or planes of
 # R^(n+1) take 0.003-0.016 s to build and 0.065-0.12 s to verify every index
@@ -60,10 +60,6 @@ from .subspaces import Subspace, SubspaceFamily, intersect
 # verify at n = 11, 0.69-0.95 s and 0.40-0.64 s at n = 12 and 2.0-2.3 s and
 # 1.0-1.4 s at n = 13, so the cap bounds n, not the work
 MAX_FAMILY_N = 13
-# the work grows about as ambient_dim^3: three random planes in R^512 take
-# 0.09-0.11 s to build and verify and in R^1024 0.59-0.69 s, and the identity
-# matrix of the full space alone needs 8 * ambient_dim^2 bytes
-MAX_AMBIENT_DIM = 1024
 VERIFY_TOL = 1e-7
 
 

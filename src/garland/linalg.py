@@ -4,8 +4,8 @@ Every eigensolve funnels through `sym_eigs`, the one eigensolver seam: it
 validates symmetry, then calls LAPACK's symmetric solver through
 `numpy.linalg.eigvalsh`, which returns the eigenvalues in ascending order
 (Golub and Van Loan, Matrix Computations, section 8.3), and nothing else.
-`classify_definiteness` solves through it too; `definiteness_of` is its
-rule, which a `CosineMatrix` applies to the spectrum it keeps.
+`classify_definiteness` validates and solves its input in one call to it;
+`definiteness_of` is its rule, applied by a `CosineMatrix` to its spectrum.
 `left_singular` is the one singular value decomposition (section 8.6):
 `orthonormalize` and the subspace lattice cut its rank, and the principal
 cosines of two subspaces are its singular values.  No other module calls
@@ -80,14 +80,6 @@ def as_symmetric(matrix) -> np.ndarray:
     return (m + mt) / 2.0
 
 
-def as_symmetric_matrix(matrix) -> np.ndarray:
-    """`as_symmetric` for callers that take one matrix: a stack is refused."""
-    m = as_symmetric(matrix)
-    if m.ndim != 2:
-        raise ValidationError(f"expected one square matrix, got a stack of shape {m.shape}")
-    return m
-
-
 def sym_eigs(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each matrix of a stack
     (..., k, k), ascending along the last axis.
@@ -98,8 +90,8 @@ def sym_eigs(matrix) -> np.ndarray:
 
 
 def definiteness_of(m: np.ndarray, eigenvalues: np.ndarray) -> DefinitenessClass:
-    """The rule of `classify_definiteness`, for a matrix that `as_symmetric`
-    has already returned and its ascending eigenvalues."""
+    """The rule of `classify_definiteness`, for a validated symmetric matrix
+    and its ascending eigenvalues."""
     zero_tol = RESIDUAL_SCALE * max(1.0, max_abs(m))
     smallest = eigenvalues[0]
     if smallest > zero_tol:
@@ -116,11 +108,14 @@ def classify_definiteness(matrix) -> DefinitenessClass:
     Positive definite when the smallest eigenvalue exceeds the zero tolerance
     `RESIDUAL_SCALE` * max(1, max |entry|); positive semidefinite when it is
     at least minus that tolerance, with corank the number of eigenvalues
-    within it of zero; indefinite otherwise.  The spectrum comes from
-    `sym_eigs`; a `CosineMatrix` applies the same rule to the one it keeps.
+    within it of zero; indefinite otherwise.  The spectrum comes from one
+    `sym_eigs` call, which validates the input, and a stack is refused by the
+    shape of its spectrum.
     """
-    m = as_symmetric_matrix(matrix)
-    return definiteness_of(m, sym_eigs(m))
+    eigenvalues = sym_eigs(matrix)
+    if eigenvalues.ndim != 1:
+        raise ValidationError(f"expected one matrix, got a stack of shape {np.shape(matrix)}")
+    return definiteness_of(np.asarray(matrix, dtype=float), eigenvalues)
 
 
 def left_singular(matrix: np.ndarray, complete: bool = False) -> tuple[np.ndarray, np.ndarray]:

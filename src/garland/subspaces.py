@@ -18,6 +18,7 @@ as its square root.  Pairs of equal dimensions share one stacked SVD:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     DefinitenessClass,
-    as_symmetric_matrix,
+    as_symmetric,
     definiteness_of,
     left_singular,
     max_abs,
@@ -37,12 +38,19 @@ from .linalg import (
 
 INTERSECT_TOL = 1e-8
 GRAM_TOL = 1e-10
-# a simplex of k vertices has k (k - 1) / 2 face pairs, each a (k-1) x (k-1)
-# cross product in one stacked SVD, so the work grows as k^4: k random unit
-# vertices in R^k take, through the CLI in process on a 2-CPU machine, 0.05 to
-# 0.08 s and 52 MB at k = 32, 0.27 to 0.41 s and 116 MB at k = 48 and 0.8 s
-# and 288 MB at k = 64
+# a simplex of k vertices in R^d has k (k - 1) / 2 face pairs, each a
+# (k-1) x (k-1) cross product of two d x (k-1) bases in one stacked SVD, so
+# the SVDs grow as k^4 and the stacked bases as k^3 d: k random unit vertices
+# in R^k take, through the CLI in process on a 2-CPU machine, 0.05 to 0.08 s
+# and 52 MB at k = 32, 0.27 to 0.41 s and 116 MB at k = 48 and 0.8 s and
+# 288 MB at k = 64; 32 of them take 0.24 s and 171 MB in R^512 and 0.34 s and
+# 298 MB in R^1024
 MAX_SIMPLEX_VERTICES = 32
+# a family's lattice work grows about as ambient_dim^3: three random planes in
+# R^512 take 0.09-0.11 s to build and verify and in R^1024 0.59-0.69 s, and
+# the identity matrix of the full space alone needs 8 * ambient_dim^2 bytes;
+# a simplex's stacked bases grow linearly in it
+MAX_AMBIENT_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,9 @@ class CosineMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_symmetric_matrix(self.matrix)
+        m = as_symmetric(self.matrix)
+        if m.ndim != 2:
+            raise ValidationError(f"expected one square matrix, got a stack of shape {m.shape}")
         d = np.diag(m)
         if not np.all(d == 1.0):
             raise ValidationError("cosine matrix diagonal must be exactly 1")
@@ -157,6 +167,19 @@ class CosineMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
+
+
+# cos(pi/m), correctly rounded, where it is a closed form in square roots;
+# math.cos(math.pi / m) is one ulp above it at m = 3 and m = 6
+_COS_PI_OVER = {2: 0.0, 3: 0.5, 4: math.sqrt(0.5), 5: (1.0 + math.sqrt(5.0)) / 4.0,
+                6: math.sqrt(3.0) / 2.0, 8: math.sqrt(2.0 + math.sqrt(2.0)) / 2.0}
+
+
+def cos_pi_over(m) -> float:
+    """cos(pi/m) for an integer m >= 1 or inf: the table above, or else
+    `math.cos(math.pi / m)`, which is exactly -1 at m = 1 and 1 at m = inf."""
+    cos = _COS_PI_OVER.get(m)
+    return math.cos(math.pi / m) if cos is None else cos
 
 
 def _principal_cosines(pairs):
@@ -268,7 +291,8 @@ def spherical_face_family(vertices) -> SubspaceFamily:
 
     Vertex i's opposite face subspace V_i' is spanned by all the other
     vertices.  Vertices must be unit length and linearly independent, and
-    there are at most `MAX_SIMPLEX_VERTICES` of them.
+    there are at most `MAX_SIMPLEX_VERTICES` of them, in R^d with d at most
+    `MAX_AMBIENT_DIM`.
     """
     arr = np.array(vertices, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -279,6 +303,8 @@ def spherical_face_family(vertices) -> SubspaceFamily:
             f"a simplex of more than {MAX_SIMPLEX_VERTICES} vertices is not supported, "
             f"got {count}"
         )
+    if d > MAX_AMBIENT_DIM:
+        raise ValidationError(f"ambient dimension must be at most {MAX_AMBIENT_DIM}, got {d}")
     with np.errstate(over="ignore"):  # an overflowing norm is not 1 either
         norms = np.sqrt(np.sum(arr * arr, axis=1))
     if np.max(np.abs(norms - 1.0)) > 1e-10:

@@ -29,7 +29,7 @@ def test_criterion_01_rank4_hyperbolic_reproduction():
     cox = g.load_coxeter_matrix(load_fixture("hyperbolic_rank4.json"))
     c = g.coxeter_cosine(cox)
     assert abs(c.min_eigenvalue() - (1.0 - math.sqrt(2.0)) / 2.0) <= 1e-9
-    assert g.min_thickness(c) == 4
+    assert g.min_thickness(c.min_eigenvalue()) == 4
 
     at4 = g.vanishing_report(cox, 4)
     assert at4.criterion_met

@@ -12,12 +12,12 @@ import pytest
 
 import garland as g
 from garland.cli import build_parser, main
-from garland.complexes import MAX_LINK_VERTICES
+from garland.complexes import MAX_LINK_VERTICES, MAX_TYPES
 from garland.coxeter import build_coxeter_complex
 from garland.decomposition import MAX_FAMILY_N
 from garland.linalg import sym_eigs
 from garland.reporting import to_jsonable
-from garland.subspaces import MAX_SIMPLEX_VERTICES
+from garland.subspaces import MAX_AMBIENT_DIM, MAX_SIMPLEX_VERTICES
 
 from conftest import COXETER_FIXTURES, dynkin, fixture_path, load_fixture
 
@@ -329,6 +329,15 @@ MALFORMED = {
         "analyze-complex", cycle_document(MAX_LINK_VERTICES + 2, apexes=1),
         f"link of [{MAX_LINK_VERTICES + 2}] has {MAX_LINK_VERTICES + 2} vertices",
     ),
+    # refused before B2, whose work grows as 2^types
+    "complex-over-the-type-limit": (
+        "analyze-complex",
+        json.dumps({
+            "vertices": [{"id": i, "type": i} for i in range(MAX_TYPES + 1)],
+            "facets": [list(range(MAX_TYPES + 1))],
+        }),
+        f"a complex of more than {MAX_TYPES} types is not supported, got {MAX_TYPES + 1}",
+    ),
     "simplex-vertex-norm-overflow": (
         "spherical-simplex", '{"vertices": [[1e308, 0.0], [0.0, 1.0]]}', "unit vectors",
     ),
@@ -340,6 +349,13 @@ MALFORMED = {
         ]}),
         f"more than {MAX_SIMPLEX_VERTICES} vertices is not supported, "
         f"got {MAX_SIMPLEX_VERTICES + 1}",
+    ),
+    "simplex-over-the-ambient-limit": (
+        "spherical-simplex",
+        json.dumps({"vertices": [
+            [float(i == j) for j in range(MAX_AMBIENT_DIM + 1)] for i in range(2)
+        ]}),
+        f"ambient dimension must be at most {MAX_AMBIENT_DIM}, got {MAX_AMBIENT_DIM + 1}",
     ),
     "simplex-reference-string": (
         "spherical-simplex",
@@ -506,7 +522,7 @@ def library_report(cox, options):
     }
     warnings = []
     if "--min-thickness" in options:
-        result["min_thickness_q"] = g.min_thickness(g.coxeter_cosine(cox))
+        result["min_thickness_q"] = g.min_thickness(g.coxeter_cosine(cox).min_eigenvalue())
     if "--thickness" in options:
         q = int(options[options.index("--thickness") + 1])
         try:

@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import garland as g
-from garland.complexes import _codimension_2_links, _link_classes, _walk_spectra
+from garland.complexes import MAX_TYPES, _codimension_2_links, _link_classes, _walk_spectra
 from garland.coxeter import bfs_distances
 from garland.errors import GarlandError, InputFormatError, ValidationError
 from garland.linalg import max_abs
@@ -98,6 +98,23 @@ def test_facet_array_constructor_errors():
     message = "facet [0, 2] must have exactly one vertex of each type [0, 1], got types [0, 0]"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build(vt, [[0, 1], [0, 2], [2, 9]])
+
+
+def test_both_constructors_cap_the_type_count():
+    # B2's work grows as 2^types, so a wide facet is refused before any check
+    for width, ok in ((MAX_TYPES, True), (MAX_TYPES + 1, False)):
+        vt = {i: i for i in range(width)}
+        builds = (
+            lambda: g.PartiteComplex(vt, [range(width)]),
+            lambda: g.PartiteComplex.from_facet_array(vt, [range(width)]),
+        )
+        for build in builds:
+            if ok:
+                assert build().types == tuple(range(width))
+            else:
+                message = f"more than {MAX_TYPES} types is not supported, got {width}"
+                with pytest.raises(ValidationError, match=message):
+                    build()
 
 
 # ids that no vertex of `_faulty_facet_lists` has

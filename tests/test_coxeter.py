@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
@@ -62,11 +63,49 @@ def test_loader():
             g.load_coxeter_matrix({"rank": rank, "m": [[1, 3], [3, 1]]})
 
 
+def exact_cos_pi_over(m):
+    """cos(pi/m) from 70-digit series, Machin's formula for pi and Taylor's
+    for cos, cut to 50 decimal places so that cos(pi/2) reads 0; float() of
+    a Decimal is correctly rounded."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=70)):
+        eps = D(10) ** -68
+
+        def arctan_of_inverse(n):
+            total, power, k = D(0), D(1) / n, 0
+            while power > eps:
+                total += (-1) ** k * power / (2 * k + 1)
+                power /= n * n
+                k += 1
+            return total
+
+        x = 4 * (4 * arctan_of_inverse(5) - arctan_of_inverse(239)) / m
+        total, term, k = D(0), D(1), 0
+        while abs(term) > eps:
+            total += term
+            term *= -x * x / ((2 * k + 1) * (2 * k + 2))
+            k += 1
+        return float(total.quantize(D(10) ** -50))
+
+
 def test_cosine_values():
     c = g.coxeter_cosine(cox_of("a2.json"))
-    assert max_abs(c.matrix - np.array([[1.0, -0.5], [-0.5, 1.0]])) <= 1e-15
+    assert np.array_equal(c.matrix, [[1.0, -0.5], [-0.5, 1.0]])
+    assert c.min_eigenvalue() == 0.5
     c3 = g.coxeter_cosine(cox_of("a3.json"))
     assert c3.matrix[0, 2] == 0.0  # m = 2 is exactly orthogonal
+    assert math.copysign(1.0, c3.matrix[0, 2]) == 1.0  # and +0.0, which prints as 0
+    # the orders with a square-root closed form give the correctly rounded
+    # cosine, and the others are within 1 ulp of it
+    for m in (2, 3, 4, 5, 6, 8, 7, 10, 12):
+        entries = g.coxeter_cosine(g.CoxeterMatrix(rank=2, m=((1, m), (m, 1)))).matrix
+        exact = exact_cos_pi_over(m)
+        assert entries[0, 1] == entries[1, 0]
+        if m in (7, 10, 12):
+            assert abs(entries[0, 1] + exact) <= math.ulp(exact), m
+        else:
+            assert entries[0, 1] == -exact, m
+            assert math.copysign(1.0, entries[0, 1]) == (1.0 if m == 2 else -1.0), m
     cinf = g.coxeter_cosine(cox_of("infinite_dihedral.json"))
     assert cinf.matrix[0, 1] == -1.0
     cb = g.coxeter_cosine(cox_of("b2.json"))

@@ -55,6 +55,15 @@ def test_feit_higman_values():
     for bad in (5, 7, 12):
         with pytest.raises(FeitHigmanExcludedError):
             g.feit_higman_bound(bad, 2)
+    # 2 cos(pi/m) in square roots: doubling the table's cosine is exact, so
+    # the bound keeps these bits
+    two_cos = {
+        2: 0.0, 3: 1.0, 4: math.sqrt(2.0), 6: math.sqrt(3.0), 8: math.sqrt(2.0 + math.sqrt(2.0)),
+    }
+    assert tuple(two_cos) == ALLOWED_GONALITIES
+    for m, doubled in two_cos.items():
+        for q in range(2, 61):
+            assert g.feit_higman_bound(m, q) == doubled * (math.sqrt(q) / (q + 1)), (m, q)
 
 
 def test_the_two_encodings_of_the_per_link_bound_agree():
@@ -79,9 +88,11 @@ def test_lower_bound_matrix():
 
 
 def test_min_thickness():
-    assert g.min_thickness(g.coxeter_cosine(cox_of("hyperbolic_rank4.json"))) == 4
-    assert g.min_thickness(g.coxeter_cosine(cox_of("a2.json"))) == 2
-    assert g.min_thickness(g.coxeter_cosine(cox_of("affine_a2.json"))) == 2
+    for name, q in (("hyperbolic_rank4.json", 4), ("a2.json", 2), ("affine_a2.json", 2)):
+        assert g.min_thickness(g.coxeter_cosine(cox_of(name)).min_eigenvalue()) == q, name
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=f"mu must be a finite number, got {bad}"):
+            g.min_thickness(bad)
 
 
 @functools.cache
@@ -111,7 +122,7 @@ def test_min_thickness_matches_the_linear_search():
     mus = [*np.linspace(-30.0, 1.5, 1001), *at_thresholds]
     mus += [np.nextafter(t, side) for t in at_thresholds for side in (-np.inf, np.inf)]
     for mu in mus:
-        assert g.min_thickness(np.array([[mu]])) == linear_min_thickness(mu), mu
+        assert g.min_thickness(mu) == linear_min_thickness(mu), mu
 
 
 def walked_min_thickness(mu):
@@ -133,19 +144,19 @@ def test_min_thickness_on_a_log_grid():
     # past q = 1e15 the float threshold is not monotone in q, and a float
     # comparison there returned 5075736694144155 at this mu; the exact least
     # q is two below it
-    assert g.min_thickness(np.array([[-35622101.317747034]])) == 5075736694144153
+    assert g.min_thickness(-35622101.317747034) == 5075736694144153
     for mu in -np.logspace(0.0, math.log10(2.5e14), 20001):
-        assert g.min_thickness(np.array([[mu]])) == walked_min_thickness(mu), mu
+        assert g.min_thickness(mu) == walked_min_thickness(mu), mu
 
 
 def test_min_thickness_work_grows_like_log_q():
-    g.min_thickness(np.array([[0.0]]))  # first-call costs stay out of the timing
+    g.min_thickness(0.0)  # first-call costs stay out of the timing
     start = time.perf_counter()
-    q = g.min_thickness(np.array([[-1e6]]))
+    q = g.min_thickness(-1e6)
     assert time.perf_counter() - start < 0.01
     assert exact_passes(-1e6, q) and not exact_passes(-1e6, q - 1)
     with pytest.raises(ValidationError, match="beyond the float range"):
-        g.min_thickness(np.array([[-1e160]]))
+        g.min_thickness(-1e160)
 
 
 def test_the_exact_test_agrees_with_the_float_one_on_the_fixtures():
@@ -209,7 +220,7 @@ def test_affine_types_pass_at_the_smallest_thickness(name):
     # threshold and q = 2 already passes, with every verdict asserted
     cox = AFFINE[name]
     assert g.classify_coxeter(cox) == "affine"
-    assert g.min_thickness(g.coxeter_cosine(cox)) == 2
+    assert g.min_thickness(g.coxeter_cosine(cox).min_eigenvalue()) == 2
     report = g.vanishing_report(cox, 2)
     assert report.coxeter_class == "affine"
     assert abs(report.mu_tilde) <= 1e-14

@@ -141,10 +141,6 @@ def test_one_matrix_callers_refuse_a_stack():
         classify_definiteness(stack)
     with pytest.raises(ValidationError, match="stack"):
         g.CosineMatrix(stack)
-    with pytest.raises(ValidationError, match="stack"):
-        g.min_thickness(stack)
-    with pytest.raises(ValidationError, match="stack"):
-        g.building_cosine_lower_bound(stack, 2)
 
 
 def test_classify_definiteness_hand_cases():
